@@ -1,14 +1,22 @@
 """Regularized Gauss-Newton engine with ridge warm start.
 
 The readout weights solve a nonlinear least-squares problem over the stacked
-constraint residuals. Each iteration solves the damped normal equations for
-a descent step, optionally halving it until the loss stops increasing, and
-the iteration ends when the relative loss change falls below tolerance. The
-initial guess replicates the trial increments by ridge regression on the
-activation features.
+constraint residuals. Each iteration solves a damped linear least-squares
+problem for a descent step, optionally halving it until the loss stops
+increasing, and the iteration ends when the relative loss change falls below
+tolerance. The initial guess replicates the trial increments by ridge
+regression on the activation features.
+
+Both solves go through damped_lstsq, which factors the smaller of the primal
+Gram matrix a^T a and the dual one a a^T. Tall and square problems (harmonic,
+vdp) take the primal form with the same floating-point operations as a plain
+normal-equation solve, so their artifacts do not change. Wide problems
+(lorenz) take the dual form plus one step of iterative refinement, which
+agrees with the primal answer only to roundoff.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
@@ -57,6 +65,51 @@ class IterationRecord:
     halvings: int
 
 
+def _cholesky(gram: Array, what: str):
+    """Upper Cholesky factor of gram, warning when it is ill-conditioned.
+
+    The warning fires where scipy.linalg.solve's does: when LAPACK's
+    estimate of the reciprocal 1-norm condition number is below machine
+    epsilon.
+    """
+    anorm = np.linalg.norm(gram, 1)
+    try:
+        factor = scipy.linalg.cho_factor(gram)
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        raise SingularSystem(f"{what}: {exc}") from exc
+    pocon, = scipy.linalg.get_lapack_funcs(("pocon",), (factor[0],))
+    rcond, _ = pocon(factor[0], anorm)
+    if rcond < np.finfo(gram.dtype).eps:
+        warnings.warn(f"ill-conditioned damped Gram matrix (rcond={rcond}):"
+                      " result may not be accurate",
+                      scipy.linalg.LinAlgWarning, stacklevel=3)
+    return factor
+
+
+def damped_lstsq(a: Array, b: Array, lam: float,
+                 what: str = "normal equations are singular") -> Array:
+    """x minimizing ||a x - b||^2 + lam ||x||^2, for 1-D or 2-D b.
+
+    The damping is floored at LAMBDA_FLOOR. A tall or square a solves the
+    primal normal equations (a^T a + lam I) x = a^T b. A wide a solves the
+    smaller dual system (a a^T + lam I) y = b and returns x = a^T y, which
+    is the same x by the push-through identity; one step of iterative
+    refinement on y, reusing the Cholesky factor, removes most of the error
+    the unrefined dual solve makes when a is ill-conditioned. A failed
+    factorization raises SingularSystem with the message what.
+    """
+    lam = max(lam, LAMBDA_FLOOR)
+    primal = a.shape[0] >= a.shape[1]
+    gram = a.T @ a if primal else a @ a.T
+    gram[np.diag_indices_from(gram)] += lam
+    factor = _cholesky(gram, what)
+    if primal:
+        return scipy.linalg.cho_solve(factor, a.T @ b)
+    y = scipy.linalg.cho_solve(factor, b)
+    y -= scipy.linalg.cho_solve(factor, a @ (a.T @ y) + lam * y - b)
+    return a.T @ y
+
+
 def _family_losses(e: Array) -> tuple:
     thirds = np.split(e, 3)
     return tuple(float(block @ block) for block in thirds)
@@ -75,29 +128,17 @@ def ridge_initial_guess(hs: HiddenSequence, trial: Trajectory, tau: float,
             f"need exactly one more point than steps"
         )
     targets = np.diff(trial.states, axis=0) / tau
-    sig = hs.sig
-    gram = sig.T @ sig
-    gram[np.diag_indices_from(gram)] += max(lam, LAMBDA_FLOOR)
-    try:
-        wt = scipy.linalg.solve(gram, sig.T @ targets, assume_a="pos")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise SingularSystem(f"ridge normal matrix is singular: {exc}") from exc
+    wt = damped_lstsq(hs.sig, targets, lam,
+                      what="ridge normal matrix is singular")
     return wt.T
 
 
 def gn_step(j, e: Array, lam: float) -> Array:
-    """Damped Gauss-Newton step: solve the regularized normal equations.
+    """Damped Gauss-Newton step: solve the regularized least-squares problem.
 
     Returns vec(delta) minimizing the linearized loss; the caller reshapes.
     """
-    jm = getattr(j, "j", j)
-    g = jm.T @ e
-    a = jm.T @ jm
-    a[np.diag_indices_from(a)] += max(lam, LAMBDA_FLOOR)
-    try:
-        return -scipy.linalg.solve(a, g, assume_a="pos")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise SingularSystem(f"normal equations are singular: {exc}") from exc
+    return -damped_lstsq(getattr(j, "j", j), e, lam)
 
 
 def solve_stage(residual_fn: Callable[[Array], Array],

@@ -10,7 +10,6 @@ activations, and the activation derivatives.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,20 +182,3 @@ def drive(res: Reservoir, inputs: Trajectory, h0: Array = None) -> HiddenSequenc
     return HiddenSequence(h=h, z=z, z0=z0, sig=sig, sig_dot=sig_dot,
                           sig0=sig0, tau=tau, res=res)
 
-
-def dump_text(res: Reservoir) -> str:
-    """Readable textual dump: triplets for omega, dense rows for v, b, c.
-
-    Debugging aid only; not a stability-guaranteed format.
-    """
-    buf = io.StringIO()
-    coo = res.omega.tocoo()
-    buf.write(f"omega {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-    order = np.lexsort((coo.col, coo.row))
-    for i in order:
-        buf.write(f"{coo.row[i]} {coo.col[i]} {format(coo.data[i], '.17g')}\n")
-    for name, mat in (("v", res.v), ("b", res.b[:, None]), ("c", res.c[:, None])):
-        buf.write(f"{name} {mat.shape[0]} {mat.shape[1]}\n")
-        for row in mat:
-            buf.write(" ".join(format(x, ".17g") for x in row) + "\n")
-    return buf.getvalue()

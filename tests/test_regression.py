@@ -1,12 +1,13 @@
-"""Ridge warm start, damped normal-equation steps, and the solver loop."""
+"""Damped least-squares solves, ridge warm start, and the solver loop."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 from esnode.constraints import (ResidualJacobian, stage1_jacobian,
                                 stage1_residuals)
-from esnode.errors import LengthMismatch, NonFinite
-from esnode.regression import (GnConfig, IterationRecord, gn_step,
-                               history_to_log, ridge_initial_guess,
+from esnode.errors import LengthMismatch, NonFinite, SingularSystem
+from esnode.regression import (GnConfig, IterationRecord, damped_lstsq,
+                               gn_step, history_to_log, ridge_initial_guess,
                                solve_stage)
 from esnode.trial import Trajectory
 
@@ -29,6 +30,76 @@ class TestGnConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             GnConfig(**kwargs)
+
+
+def svd_step(a, b, lam):
+    """Reference minimizer of ||a x - b||^2 + lam ||x||^2 from the SVD
+    a = U diag(s) V^T: V diag(s / (s^2 + lam)) U^T b."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    filt = s / (s * s + lam)
+    coef = u.T @ b
+    return vt.T @ (filt[:, None] * coef if coef.ndim == 2 else filt * coef)
+
+
+def rel_err(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+def wide_ill_conditioned(seed, rows=300, cols=750):
+    """Wide a with singular values log-spaced from 10^4.5 down to 10^-9,
+    the spread the Lorenz stage Jacobians show."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, rows)))
+    a = (u * np.logspace(4.5, -9, rows)) @ v.T
+    return a, rng.standard_normal(rows)
+
+
+class TestDampedLstsq:
+    @pytest.mark.parametrize("shape", [(60, 20), (20, 20), (20, 60)],
+                             ids=["tall", "square", "wide"])
+    @pytest.mark.parametrize("b_cols", [None, 3], ids=["b1d", "b2d"])
+    def test_matches_svd_reference(self, shape, b_cols):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        a = rng.standard_normal(shape)
+        b = rng.standard_normal(shape[0] if b_cols is None
+                                else (shape[0], b_cols))
+        lam = 1e-7
+        x = damped_lstsq(a, b, lam)
+        assert x.shape == (shape[1],) + b.shape[1:]
+        assert rel_err(x, svd_step(a, b, lam)) < 1e-10
+
+    def test_tall_path_is_the_plain_normal_equation_solve(self):
+        # bitwise: tall and square problems must keep the exact operations
+        # of a positive-definite normal-equation solve
+        rng = np.random.default_rng(5)
+        j = rng.standard_normal((300, 60))
+        e = rng.standard_normal(300)
+        lam = 1e-7
+        expect = -scipy.linalg.solve(j.T @ j + lam * np.eye(60), j.T @ e,
+                                     assume_a="pos")
+        np.testing.assert_array_equal(gn_step(j, e, lam), expect)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_refined_dual_beats_primal_when_ill_conditioned(self, seed):
+        a, b = wide_ill_conditioned(seed)
+        lam = 1e-6
+        ref = svd_step(a, b, lam)
+        with pytest.warns(scipy.linalg.LinAlgWarning):
+            dual = damped_lstsq(a, b, lam)
+        with pytest.warns(scipy.linalg.LinAlgWarning):
+            primal = scipy.linalg.solve(a.T @ a + lam * np.eye(a.shape[1]),
+                                        a.T @ b, assume_a="pos")
+        assert 10 * rel_err(dual, ref) <= rel_err(primal, ref)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 4)], ids=["tall", "wide"])
+    def test_failed_factorization_is_singular_system(self, shape):
+        a = np.full(shape, 1e8)
+        with pytest.raises(SingularSystem, match="normal equations"):
+            damped_lstsq(a, np.ones(shape[0]), 1e-12)
+        with pytest.raises(SingularSystem, match="ridge normal matrix"):
+            damped_lstsq(a, np.ones(shape[0]), 1e-12,
+                         what="ridge normal matrix is singular")
 
 
 class TestRidgeInitialGuess:

@@ -5,8 +5,7 @@ import scipy.sparse
 
 from esnode.errors import DegenerateMatrix, DimensionMismatch
 from esnode.reservoir import (HiddenSequence, Reservoir, ReservoirParams,
-                              _scale_to_norm, build, drive, dump_text,
-                              spectral_norm)
+                              _scale_to_norm, build, drive, spectral_norm)
 from esnode.trial import Trajectory
 
 
@@ -177,9 +176,3 @@ class TestDrive:
         np.testing.assert_array_equal(kept.h, hs.h[4:])
         assert kept.res is hs.res
 
-
-def test_dump_text_round_structure():
-    res = build(make_params(n_neurons=4, connectivity=0.5), dim=2)
-    text = dump_text(res)
-    assert "omega" in text and "v" in text
-    assert dump_text(res) == text
