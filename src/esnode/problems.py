@@ -1,13 +1,21 @@
 """Benchmark ODE systems: right-hand sides, analytic Jacobians, reference solutions.
 
-Each system is autonomous, dy/dt = f(y). The Jacobian is the d x d matrix
-df/dy used by the residual linearization; it must match finite differences
-of the right-hand side.
+Each system is autonomous, dy/dt = f(y). The right-hand side indexes its
+argument component by component and returns a tuple of the d components of
+f(y), so one definition runs both on a list of Python floats, inside the
+plain-float integrators of `trial`, and on a numpy row, inside `rhs_many`.
+Both give the same bits, because each component is the same sequence of
+IEEE double operations. vdp squares with `y[0] ** 2`, which rounds through
+`pow`, not `y[0] * y[0]`: the two differ in the last bit for a small share
+of arguments, and vdp's chaotic fit would amplify the difference.
+
+The Jacobian is the d x d matrix df/dy used by the residual linearization;
+it must match finite differences of the right-hand side.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +32,7 @@ class OdeSystem:
 
     name: str
     dim: int
-    rhs: Callable[[Array], Array]
+    rhs: Callable[[Sequence[float]], tuple]
     jac: Callable[[Array], Array]
     reference: Optional[Callable[[object, Array], Array]] = None
 
@@ -37,8 +45,8 @@ class OdeSystem:
         return np.stack([self.jac(y) for y in states])
 
 
-def _harmonic_rhs(y: Array) -> Array:
-    return np.array([y[1], -y[0]])
+def _harmonic_rhs(y) -> tuple:
+    return (y[1], -y[0])
 
 
 _HARMONIC_JAC = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -64,8 +72,8 @@ def harmonic() -> OdeSystem:
     )
 
 
-def _vdp_rhs(y: Array) -> Array:
-    return np.array([y[1], y[1] - y[0] - y[0] ** 2 * y[1]])
+def _vdp_rhs(y) -> tuple:
+    return (y[1], y[1] - y[0] - y[0] ** 2 * y[1])
 
 
 def _vdp_jac(y: Array) -> Array:
@@ -85,12 +93,12 @@ _LORENZ_RHO = 28.0
 _LORENZ_BETA = 8.0 / 3.0
 
 
-def _lorenz_rhs(y: Array) -> Array:
-    return np.array([
+def _lorenz_rhs(y) -> tuple:
+    return (
         _LORENZ_SIGMA * (y[1] - y[0]),
         y[0] * (_LORENZ_RHO - y[2]) - y[1],
         y[0] * y[1] - _LORENZ_BETA * y[2],
-    ])
+    )
 
 
 def _lorenz_jac(y: Array) -> Array:

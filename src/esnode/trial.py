@@ -4,10 +4,22 @@ The trial solution is an explicit Euler trajectory, optionally computed on a
 finer internal grid and downsampled back to the requested spacing. RK4 serves
 as the reference oracle for evaluation. Washout cropping splits off the
 leading segment whose reservoir states are discarded.
+
+Both integrators step a list of d Python floats through `system.rhs`, which
+returns a tuple of components, and append each state to one flat
+`array("d")` buffer that becomes the (n_steps+1, d) result without a copy.
+Per-step numpy arrays would cost more than the arithmetic. Each component
+sees the same IEEE double operations in the same order as an elementwise
+numpy update, so the trajectories are bitwise those of a numpy loop.
+Python floats raise OverflowError where numpy would store inf (vdp's
+`** 2`); the integrators report that step as NonFinite, like any other
+non-finite state.
 """
 from __future__ import annotations
 
 import io
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,35 +68,51 @@ def _check_finite(states: Array, what: str) -> None:
         raise NonFinite(f"{what} produced a non-finite state at step {bad}")
 
 
+def _states(buf: array, d: int, what: str) -> Array:
+    """View the flat state buffer as (n_points, d) rows, all finite."""
+    states = np.frombuffer(buf, dtype=float).reshape(-1, d)
+    _check_finite(states, what)
+    return states
+
+
 def euler(system: OdeSystem, y0, tau: float, n_steps: int, t0: float = 0.0) -> Trajectory:
     """Explicit Euler trajectory of n_steps updates; output has n_steps+1 points."""
-    y0 = np.asarray(y0, dtype=float)
-    states = np.empty((n_steps + 1, y0.shape[0]))
-    states[0] = y0
-    y = y0
-    for n in range(n_steps):
-        y = y + tau * system.rhs(y)
-        states[n + 1] = y
-    _check_finite(states, "euler")
-    return Trajectory(t0=t0, tau=tau, states=states)
+    y = np.asarray(y0, dtype=float).tolist()
+    d = len(y)
+    buf = array("d", y)
+    f = system.rhs
+    try:
+        for _ in range(n_steps):
+            y = [a + tau * k for a, k in zip(y, f(y), strict=True)]
+            buf.extend(y)
+    except OverflowError:
+        # numpy would have stored inf in the state being computed
+        buf.extend([math.inf] * d)
+    return Trajectory(t0=t0, tau=tau, states=_states(buf, d, "euler"))
 
 
 def rk4(system: OdeSystem, y0, tau: float, n_steps: int, t0: float = 0.0) -> Trajectory:
     """Classical fourth-order Runge-Kutta with the same shape contract as euler."""
-    y0 = np.asarray(y0, dtype=float)
-    states = np.empty((n_steps + 1, y0.shape[0]))
-    states[0] = y0
-    y = y0
+    y = np.asarray(y0, dtype=float).tolist()
+    d = len(y)
+    buf = array("d", y)
     f = system.rhs
-    for n in range(n_steps):
-        k1 = f(y)
-        k2 = f(y + 0.5 * tau * k1)
-        k3 = f(y + 0.5 * tau * k2)
-        k4 = f(y + tau * k3)
-        y = y + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[n + 1] = y
-    _check_finite(states, "rk4")
-    return Trajectory(t0=t0, tau=tau, states=states)
+    half = 0.5 * tau
+    sixth = tau / 6.0
+    try:
+        for _ in range(n_steps):
+            k1 = f(y)
+            # one length check per step: every stage calls the same f
+            k2 = f([a + half * k for a, k in zip(y, k1, strict=True)])
+            k3 = f([a + half * k for a, k in zip(y, k2)])
+            k4 = f([a + tau * k for a, k in zip(y, k3)])
+            y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            buf.extend(y)
+    except OverflowError:
+        # numpy would have stored inf in the state being computed
+        buf.extend([math.inf] * d)
+    return Trajectory(t0=t0, tau=tau, states=_states(buf, d, "rk4"))
 
 
 def refine_downsample(system: OdeSystem, y0, tau: float, n_steps: int,

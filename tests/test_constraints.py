@@ -356,6 +356,102 @@ class TestJacobians:
         np.testing.assert_array_equal(j[2 * rows:], 0.0)
 
 
+def einsum_stage1_jacobian(system, wbar, hs, y_start, tau, substitution):
+    """Stage-1 Jacobian as 4-D einsum terms with an identity factor."""
+    n_steps, n = hs.sig.shape
+    d = wbar.shape[0]
+    ybar = stage1_readout(wbar, hs, y_start, tau).states
+    g1 = hs.sig + (hs.z - hs.z0) * hs.sig_dot
+    s_run = np.cumsum(hs.sig, axis=0)
+    s_prev = np.vstack([np.zeros(n), s_run[:-1]])
+    jf_end = system.jac_many(ybar[1:])
+    jf_beg = system.jac_many(ybar[:-1])
+    eye = np.eye(d)
+    j1 = tau * np.einsum("kia,kb->kiab", jf_end, s_run) \
+        - np.einsum("ia,kb->kiab", eye, g1)
+    j2 = tau * np.einsum("kia,kb->kiab", jf_beg, s_prev) \
+        - np.einsum("ia,kb->kiab", eye, hs.sig0)
+    transported = hs.sig_dot * (hs.res.omega @ hs.sig0.T).T
+    if substitution:
+        j3 = np.einsum("ia,kb->kiab", eye, transported - (g1 - hs.sig0))
+    else:
+        j3 = np.einsum("ia,kb->kiab", eye, transported) \
+            - tau * np.einsum("kia,kb->kiab", jf_end, s_run) \
+            + tau * np.einsum("kia,kb->kiab", jf_beg, s_prev)
+    rows = n_steps * d
+    return np.concatenate([
+        j1.reshape(rows, d * n), j2.reshape(rows, d * n), j3.reshape(rows, d * n)
+    ])
+
+
+def einsum_stage2_jacobian(system, w, hs, ybar, tau, substitution):
+    """Stage-2 Jacobian as 4-D einsum terms with an identity factor."""
+    n_steps, n = hs.sig.shape
+    d = w.shape[0]
+    y = stage2_readout(w, hs, ybar, tau).states
+    g1 = hs.sig + (hs.z - hs.z0) * hs.sig_dot
+    v = hs.res.v
+    jf_end = system.jac_many(y[1:])
+    eye = np.eye(d)
+    j1 = tau * np.einsum("kia,kb->kiab", jf_end, hs.sig) \
+        - np.einsum("ia,kb->kiab", eye, g1)
+    j2 = -np.einsum("ia,kb->kiab", eye, hs.sig0)
+    if substitution:
+        prev_incr = hs.sig0 @ w.T
+        carried = hs.sig_dot * (prev_incr @ v.T)
+        inner = np.einsum("im,km,ma->kia", w, hs.sig_dot, v)
+        j3 = np.einsum("ia,kb->kiab", eye, tau * carried - (g1 - hs.sig0)) \
+            + tau * np.einsum("kia,kb->kiab", inner, hs.sig0)
+    else:
+        f_beg = system.rhs_many(ybar.states[:-1])
+        carried = hs.sig_dot * (f_beg @ v.T)
+        j3 = tau * np.einsum("ia,kb->kiab", eye, carried) \
+            - tau * np.einsum("kia,kb->kiab", jf_end, hs.sig)
+    rows = n_steps * d
+    return np.concatenate([
+        j1.reshape(rows, d * n), j2.reshape(rows, d * n), j3.reshape(rows, d * n)
+    ])
+
+
+class TestJacobianAssemblyOracle:
+    """The in-place assembly gives the einsum Jacobians' values exactly.
+
+    Signed zeros may differ: the einsum form subtracts 0 * g1 off the
+    diagonal, the in-place form leaves an untouched zero.
+    """
+
+    @pytest.mark.parametrize("name", ["harmonic", "vdp", "lorenz"])
+    @pytest.mark.parametrize("substitution", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stage1(self, name, substitution, seed):
+        system, _, hs, kept = make_instance(name=name, seed=seed, n_points=7)
+        rng = np.random.default_rng(seed + 300)
+        w = 0.5 * rng.standard_normal((system.dim, 10))
+        tau = 0.05 * (1 + seed)
+        got = stage1_jacobian(system, w, hs, kept.states[0], tau,
+                              substitution=substitution).j
+        expect = einsum_stage1_jacobian(system, w, hs, kept.states[0], tau,
+                                        substitution)
+        assert got.shape == expect.shape
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("name", ["harmonic", "vdp", "lorenz"])
+    @pytest.mark.parametrize("substitution", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stage2(self, name, substitution, seed):
+        helper = TestStage2Residuals()
+        system, _, hs2, ybar, wbar = helper.make_second_stage(seed=seed,
+                                                              name=name)
+        rng = np.random.default_rng(seed + 400)
+        w = wbar + 0.5 * rng.standard_normal(wbar.shape)
+        got = stage2_jacobian(system, w, hs2, ybar, 0.05,
+                              substitution=substitution).j
+        expect = einsum_stage2_jacobian(system, w, hs2, ybar, 0.05,
+                                        substitution)
+        assert got.shape == expect.shape
+        assert np.array_equal(got, expect)
+
+
 class TestFdJacobian:
     def test_exact_on_affine_map(self):
         rng = np.random.default_rng(30)

@@ -196,6 +196,12 @@ class TestTrain:
         with pytest.raises(TrialDiverged):
             train(cfg)
 
+    def test_overflowing_vdp_trial_raises(self):
+        cfg = smoke_config(problem="vdp", y0=(2.0, 0.0), tau=3.0,
+                           n_points=40, n_washout=10, refine_factor=1)
+        with pytest.raises(TrialDiverged, match="step 9"):
+            train(cfg)
+
 
 class TestGenerate:
     def test_zero_weights_hold_constant(self, smoke_run):

@@ -13,7 +13,8 @@ def fd_jac(rhs, y, step=1e-5):
     for i in range(d):
         e = np.zeros(d)
         e[i] = step
-        cols.append((rhs(y + e) - rhs(y - e)) / (2 * step))
+        cols.append((np.asarray(rhs(y + e)) - np.asarray(rhs(y - e)))
+                    / (2 * step))
     return np.stack(cols, axis=1)
 
 

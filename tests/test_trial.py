@@ -1,4 +1,6 @@
 """Trial integration, reference integration, cropping, CSV round trips."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -41,12 +43,30 @@ class TestEuler:
         for k in range(50):
             np.testing.assert_allclose(
                 traj.states[k + 1] - traj.states[k],
-                0.1 * system.rhs(traj.states[k]), rtol=0, atol=1e-14)
+                0.1 * np.asarray(system.rhs(traj.states[k])),
+                rtol=0, atol=1e-14)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_step_index(self):
         with pytest.raises(NonFinite, match="step"):
             euler(get_system("lorenz"), [1.0, 1.0, 1.0], 5.0, 50)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method, y0, tau, step", [
+        (euler, [2.0, 0.0], 3.0, 9),
+        (rk4, [2.0, 0.0], 3.0, 3),
+        (euler, [1e200, 1.0], 0.1, 1),
+        (rk4, [1e200, 1.0], 0.1, 1),
+    ])
+    def test_vdp_overflow_raises_with_step_index(self, method, y0, tau, step):
+        # vdp's square raises OverflowError on a Python float; the step
+        # reported is the one a numpy loop, which stores inf, reports
+        with pytest.raises(NonFinite, match=f"at step {step}$"):
+            method(get_system("vdp"), y0, tau, 50)
+        expect = (numpy_euler if method is euler else numpy_rk4)(
+            NUMPY_RHS["vdp"], y0, tau, 50)
+        bad = np.argwhere(~np.isfinite(expect).all(axis=1))[0, 0]
+        assert bad == step
 
 
 class TestRk4:
@@ -80,6 +100,77 @@ class TestRk4:
             err.append(np.abs(traj.states[-1] - exact).max())
         ratio = err[0] / err[1]
         assert 12.0 < ratio < 20.0
+
+
+# the right-hand sides as numpy-array functions, spelled as the array
+# integrators used them; vdp squares through pow, like problems.py
+NUMPY_RHS = {
+    "harmonic": lambda y: np.array([y[1], -y[0]]),
+    "vdp": lambda y: np.array([y[1], y[1] - y[0] - y[0] ** 2 * y[1]]),
+    "lorenz": lambda y: np.array([
+        10.0 * (y[1] - y[0]),
+        y[0] * (28.0 - y[2]) - y[1],
+        y[0] * y[1] - 8.0 / 3.0 * y[2],
+    ]),
+}
+
+
+def numpy_euler(f, y0, tau, n_steps):
+    """Euler stepping numpy arrays, one new array per step."""
+    y0 = np.asarray(y0, dtype=float)
+    states = np.empty((n_steps + 1, y0.shape[0]))
+    states[0] = y0
+    y = y0
+    for n in range(n_steps):
+        y = y + tau * f(y)
+        states[n + 1] = y
+    return states
+
+
+def numpy_rk4(f, y0, tau, n_steps):
+    """Classical RK4 stepping numpy arrays, one new array per stage."""
+    y0 = np.asarray(y0, dtype=float)
+    states = np.empty((n_steps + 1, y0.shape[0]))
+    states[0] = y0
+    y = y0
+    for n in range(n_steps):
+        k1 = f(y)
+        k2 = f(y + 0.5 * tau * k1)
+        k3 = f(y + 0.5 * tau * k2)
+        k4 = f(y + tau * k3)
+        y = y + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[n + 1] = y
+    return states
+
+
+class TestPlainFloatIntegratorsOracle:
+    """The plain-float loops reproduce numpy-array loops byte for byte."""
+
+    @pytest.mark.parametrize("name, y0, tau", [
+        ("harmonic", [1.0, 0.0], 0.01),
+        ("vdp", [2.0, 0.0], 0.05),
+        ("lorenz", [1.0, 1.0, 1.0], 0.002),
+    ])
+    @pytest.mark.parametrize("method, oracle", [
+        (euler, numpy_euler), (rk4, numpy_rk4),
+    ])
+    def test_bytes_match(self, name, y0, tau, method, oracle):
+        got = method(get_system(name), y0, tau, 12000).states
+        expect = oracle(NUMPY_RHS[name], y0, tau, 12000)
+        assert got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("method", [euler, rk4])
+    def test_vdp_run_is_sensitive_to_the_square_spelling(self, method):
+        # x ** 2 rounds through pow and differs from x * x in the last bit
+        # for about 0.1% of arguments; the vdp runs above pass through such
+        # states, so a square respelled as x * x would fail them
+        system = get_system("vdp")
+        respelled = dataclasses.replace(
+            system, rhs=lambda y: (y[1], y[1] - y[0] - y[0] * y[0] * y[1]))
+        got = method(system, [2.0, 0.0], 0.05, 12000).states
+        other = method(respelled, [2.0, 0.0], 0.05, 12000).states
+        assert got.tobytes() != other.tobytes()
 
 
 class TestRefineDownsample:
