@@ -6,9 +6,11 @@ the solution but per-step constraint residuals derived from the equation
 itself. A second pass re-drives the network with the first pass's output so
 the readout is fitted in the regime it will actually see.
 """
-from .constraints import (ResidualJacobian, StageResiduals, fd_jacobian,
-                          stage1_jacobian, stage1_readout, stage1_residuals,
-                          stage2_jacobian, stage2_readout, stage2_residuals)
+from .constraints import (ResidualJacobian, StageResiduals,
+                          StructuredJacobian, fd_jacobian, stage1_jacobian,
+                          stage1_operator, stage1_readout, stage1_residuals,
+                          stage2_jacobian, stage2_operator, stage2_readout,
+                          stage2_residuals)
 from .errors import (DegenerateMatrix, DimensionMismatch, EsnodeError,
                      LengthMismatch, NonFinite, SingularSystem, TrialDiverged)
 from .pipeline import (Metrics, RunConfig, RunReport, TrainedModel, evaluate,
@@ -28,11 +30,12 @@ __all__ = [
     "HiddenSequence", "IterationRecord", "LengthMismatch", "Metrics",
     "NonFinite", "OdeSystem", "Reservoir", "ReservoirParams",
     "ResidualJacobian", "RunConfig", "RunReport", "SingularSystem",
-    "StageResiduals", "TrainedModel", "TrialDiverged", "Trajectory", "build",
-    "drive", "euler", "evaluate", "fd_jacobian", "from_csv", "generate",
-    "get_system", "gn_step", "reference_trajectory", "refine_downsample",
-    "ridge_initial_guess", "rk4", "solve_stage", "spectral_norm",
-    "stage1_jacobian", "stage1_readout", "stage1_residuals",
-    "stage2_jacobian", "stage2_readout", "stage2_residuals", "system_names",
-    "to_csv", "train", "washout_crop", "write_artifacts",
+    "StageResiduals", "StructuredJacobian", "TrainedModel", "TrialDiverged",
+    "Trajectory", "build", "drive", "euler", "evaluate", "fd_jacobian",
+    "from_csv", "generate", "get_system", "gn_step", "reference_trajectory",
+    "refine_downsample", "ridge_initial_guess", "rk4", "solve_stage",
+    "spectral_norm", "stage1_jacobian", "stage1_operator", "stage1_readout",
+    "stage1_residuals", "stage2_jacobian", "stage2_operator",
+    "stage2_readout", "stage2_residuals", "system_names", "to_csv", "train",
+    "washout_crop", "write_artifacts",
 ]

@@ -20,11 +20,22 @@ By default family 3 uses the substituted form: f at the anchor is replaced
 by the interval-zero readout and f at the new point by the
 interval-derivative readout, which makes the residual polynomial in the
 weights. Passing substitution=False evaluates f directly instead.
+
+Each row block of a stage Jacobian is a sum of Kronecker terms: a d x d
+factor per step (the vector-field Jacobian, the identity, or stage 2's
+inner factor) times a row of reservoir features. The factors change with
+the weights; the feature rows, apart from stage 2's substituted family-3
+feature, are fixed for the whole stage. stage1_operator and
+stage2_operator build those rows once per stage and return
+StructuredJacobian operators. A wide solve builds the dual Gram J J^T from
+the n_steps x n_steps Grams of the feature rows and never forms J; dense()
+assembles J for tall solves, gradient checks and tests.
 """
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -53,9 +64,29 @@ class StageResiduals:
 
 @dataclass(frozen=True)
 class ResidualJacobian:
-    """Stacked residual derivative with respect to vec(w), row-major columns."""
+    """Stacked residual derivative with respect to vec(w), row-major columns.
+
+    It holds J as one array and offers StructuredJacobian's operator
+    methods, so a solver takes either.
+    """
 
     j: Array
+
+    @property
+    def shape(self) -> tuple:
+        return self.j.shape
+
+    def dense(self) -> Array:
+        return self.j
+
+    def gram(self) -> Array:
+        return self.j @ self.j.T
+
+    def matvec(self, x: Array) -> Array:
+        return self.j @ x
+
+    def rmatvec(self, y: Array) -> Array:
+        return self.j.T @ y
 
 
 def _check_w(w: Array, hs: HiddenSequence) -> None:
@@ -71,12 +102,6 @@ def _make_residuals(e1: Array, e2: Array, e3: Array) -> StageResiduals:
     if not np.isfinite(total):
         raise NonFinite("constraint residuals contain non-finite entries")
     return StageResiduals(e1=e1, e2=e2, e3=e3, loss_by_family=fam, loss_total=total)
-
-
-def _g1(hs: HiddenSequence) -> Array:
-    # interval-derivative feature sig + tau*b (.) sig_dot; the b*tau factor
-    # is recovered from the cached identity z - z0 = b*tau
-    return hs.sig + (hs.z - hs.z0) * hs.sig_dot
 
 
 def stage1_readout(wbar: Array, hs: HiddenSequence, y_start: Array,
@@ -113,12 +138,12 @@ def stage1_residuals(system: OdeSystem, wbar: Array, hs: HiddenSequence,
     ybar = stage1_readout(wbar, hs, y_start, tau).states
     f_end = system.rhs_many(ybar[1:])
     f_beg = system.rhs_many(ybar[:-1])
-    g1 = _g1(hs)
+    g1 = hs.g1
     e1 = f_end - g1 @ wbar.T
     e2 = f_beg - hs.sig0 @ wbar.T
     # previous increment transported through one recurrent update; the
     # interval ratio multiplying it is 1 on a constant grid
-    transported = hs.sig_dot * (hs.res.omega @ hs.sig0.T).T
+    transported = hs.transported
     if substitution:
         e3 = (transported - (g1 - hs.sig0)) @ wbar.T
     else:
@@ -133,7 +158,7 @@ def stage2_residuals(system: OdeSystem, w: Array, hs: HiddenSequence,
     y = stage2_readout(w, hs, ybar, tau).states
     f_end = system.rhs_many(y[1:])
     f_beg = system.rhs_many(ybar.states[:-1])
-    g1 = _g1(hs)
+    g1 = hs.g1
     v = hs.res.v
     e1 = f_end - g1 @ w.T
     e2 = f_beg - hs.sig0 @ w.T
@@ -145,87 +170,275 @@ def stage2_residuals(system: OdeSystem, w: Array, hs: HiddenSequence,
     return _make_residuals(e1, e2, e3)
 
 
-def _tau_product(out: Array, jf: Array, feats: Array, tau: float) -> None:
-    """out[k, i, a, b] = jf[k, i, a] * feats[k, b] * tau."""
-    np.multiply(jf[:, :, :, None], feats[:, None, None, :], out=out)
-    out *= tau
+@dataclass(frozen=True)
+class Term:
+    """One Kronecker term scale * A[k] (x) F[k] of a family's row block.
+
+    factor holds A as (n_steps, d, d), or None for the identity, in which
+    case scale is +1 or -1; key names the feature rows F, (n_steps, N).
+    """
+
+    factor: Optional[Array]
+    scale: float
+    key: str
 
 
-def stage1_jacobian(system: OdeSystem, wbar: Array, hs: HiddenSequence,
-                    y_start: Array, tau: float,
-                    substitution: bool = True) -> ResidualJacobian:
-    """Analytic derivative of the stage-1 residuals with respect to wbar.
+class FeatureGrams:
+    """Fixed feature rows of one stage and their pairwise Grams F_a F_b^T.
+
+    The Grams are computed on first use, as one product of the stacked rows,
+    and kept for the rest of the stage.
+    """
+
+    def __init__(self, rows: Dict[str, Array]):
+        self.rows = rows
+        self._stack: Optional[Array] = None
+        self._gram: Optional[Array] = None
+
+    def blocks(self, extra: Dict[str, Array]) -> Dict[tuple, Array]:
+        """Every pairwise Gram among the fixed rows and the extra rows, by
+        key pair; only the pairs that involve an extra row are new work."""
+        if self._gram is None:
+            self._stack = np.concatenate(list(self.rows.values()))
+            self._gram = self._stack @ self._stack.T
+        gram = self._gram
+        if extra:
+            new = np.concatenate(list(extra.values()))
+            cross = new @ self._stack.T
+            gram = np.block([[gram, cross.T], [cross, new @ new.T]])
+        k = self._stack.shape[0] // len(self.rows)
+        keys = list(self.rows) + list(extra)
+        return {(a, b): gram[i * k:(i + 1) * k, j * k:(j + 1) * k]
+                for i, a in enumerate(keys) for j, b in enumerate(keys)}
+
+
+class StructuredJacobian:
+    """Stacked residual Jacobian held as Kronecker terms, not as a matrix.
+
+    Row block f of J is the sum of its family's terms:
+    J[(f, k, i), (a, m)] = sum_t scale_t A_t[k, i, a] F_t[k, m], with rows
+    family-major, step then component, and columns vec(w) row-major. The
+    factors A_t change with w; most feature rows F_t are fixed for a stage,
+    so J J^T comes from the stage's n_steps x n_steps feature Grams without
+    forming J. extra holds the feature rows that change with w.
+    """
+
+    def __init__(self, families: Tuple[Tuple[Term, ...], ...],
+                 grams: FeatureGrams, dim: int,
+                 extra: Optional[Dict[str, Array]] = None):
+        self.families = families
+        self.grams = grams
+        self.extra = extra or {}
+        self.rows = {**grams.rows, **self.extra}
+        self.n_steps, self.n_neurons = next(iter(self.rows.values())).shape
+        self.dim = dim
+        self.shape = (len(families) * self.n_steps * dim, dim * self.n_neurons)
+
+    def dense(self) -> Array:
+        """J as one array, assembled term by term in family order.
+
+        Terms add into a zeroed block, except that a product or +I term
+        that comes first writes its values directly. A product term is
+        formed as A * F and then scaled. This is the operation order of the
+        in-place assembly the tests compare against, so J is bit for bit
+        the same.
+        """
+        d = self.dim
+        jac = np.zeros((len(self.families), self.n_steps, d, d,
+                        self.n_neurons))
+        for block, terms in zip(jac, self.families):
+            fresh = True
+            for t in terms:
+                feat = self.rows[t.key]
+                if t.factor is None:
+                    for i in range(d):
+                        diag = block[:, i, i]
+                        if t.scale < 0:
+                            diag -= feat
+                        elif fresh:
+                            diag[...] = feat
+                        else:
+                            diag += feat
+                elif fresh:
+                    _scaled_product(block, t.factor, feat, t.scale)
+                else:
+                    block += _scaled_product(np.empty_like(block), t.factor,
+                                             feat, t.scale)
+                fresh = False
+        return jac.reshape(self.shape)
+
+    def gram(self) -> Array:
+        """J J^T from the feature Grams: the (f, k, i), (g, l, j) entry is
+        sum over term pairs of scale_t scale_s (A_t[k] A_s[l]^T)[i, j]
+        (F_t F_s^T)[k, l].
+
+        A diagonal family block is formed as X + X^T from half its terms'
+        self-pairs and one of each pair of distinct terms, and an
+        off-diagonal one is mirrored, so the result is exactly symmetric.
+        """
+        nf, k, d = len(self.families), self.n_steps, self.dim
+        phi = self.grams.blocks(self.extra)
+        g = np.zeros((nf, k, d, nf, k, d))
+        for f in range(nf):
+            for h in range(f, nf):
+                block = g[f, :, :, h]
+                for ti, t in enumerate(self.families[f]):
+                    for si, s in enumerate(self.families[h]):
+                        if h == f and si < ti:
+                            continue
+                        half = h == f and si == ti
+                        _add_term_pair(block, t, s, phi[t.key, s.key],
+                                       0.5 if half else 1.0)
+                if h == f:
+                    block += block.transpose(2, 3, 0, 1).copy()
+                else:
+                    g[h, :, :, f] = block.transpose(2, 3, 0, 1)
+        return g.reshape(nf * k * d, nf * k * d)
+
+    def matvec(self, x: Array) -> Array:
+        """J x for a 1-D x of length d * N."""
+        w = x.reshape(self.dim, self.n_neurons)
+        proj = {key: rows @ w.T for key, rows in self.rows.items()}
+        out = np.zeros((len(self.families), self.n_steps, self.dim))
+        for block, terms in zip(out, self.families):
+            for t in terms:
+                p = proj[t.key] if t.factor is None else \
+                    np.einsum("kia,ka->ki", t.factor, proj[t.key])
+                block += t.scale * p
+        return out.ravel()
+
+    def rmatvec(self, y: Array) -> Array:
+        """J^T y for a 1-D y with one entry per residual row."""
+        y = y.reshape(len(self.families), self.n_steps, self.dim)
+        coef: Dict[str, Array] = {}
+        for yf, terms in zip(y, self.families):
+            for t in terms:
+                c = yf if t.factor is None else \
+                    np.einsum("kia,ki->ka", t.factor, yf)
+                coef[t.key] = coef.get(t.key, 0.0) + t.scale * c
+        out = sum(c.T @ self.rows[key] for key, c in coef.items())
+        return out.ravel()
+
+
+def _scaled_product(out: Array, factor: Array, feats: Array,
+                    scale: float) -> Array:
+    """out[k, i, a, b] = factor[k, i, a] * feats[k, b] * scale."""
+    np.multiply(factor[:, :, :, None], feats[:, None, None, :], out=out)
+    out *= scale
+    return out
+
+
+def _add_term_pair(block: Array, t: Term, s: Term, phi: Array,
+                   weight: float) -> None:
+    """block[k, i, l, j] += weight scale_t scale_s (A_t[k] A_s[l]^T)[i, j]
+    phi[k, l]."""
+    c = (weight * t.scale * s.scale) * phi
+    cw = c[:, None, :, None]
+    if t.factor is None and s.factor is None:
+        for i in range(block.shape[1]):
+            block[:, i, :, i] += c
+    elif t.factor is None:
+        block += cw * s.factor.transpose(2, 0, 1)[None]
+    elif s.factor is None:
+        block += cw * t.factor[:, :, None, :]
+    else:
+        k, d = t.factor.shape[:2]
+        m = t.factor.reshape(k * d, d) @ s.factor.reshape(k * d, d).T
+        block += cw * m.reshape(k, d, k, d)
+
+
+def stage1_operator(system: OdeSystem, hs: HiddenSequence, y_start: Array,
+                    tau: float, substitution: bool = True
+                    ) -> Callable[[Array], StructuredJacobian]:
+    """Stage-1 Jacobian operator as a function of wbar.
 
     The readout accumulates, so the derivative of the readout point at step
     n carries the running activation sum up to n through the vector-field
     Jacobian; the hidden cache itself is constant because the reservoir
     inputs are the fixed trial sequence. The terms linear in wbar sit on the
-    component diagonal a = i only.
+    component diagonal a = i only. Every feature row is fixed for the stage,
+    so it and its Grams are built once here.
     """
-    _check_w(wbar, hs)
-    n_steps, n = hs.sig.shape
-    d = wbar.shape[0]
-    ybar = stage1_readout(wbar, hs, y_start, tau).states
-    g1 = _g1(hs)
+    n = hs.sig.shape[1]
     s_run = np.cumsum(hs.sig, axis=0)
     s_prev = np.vstack([np.zeros(n), s_run[:-1]])
-    # axes (family, step, component, weight row, neuron): the reshape at the
-    # end gives the stacked residual rows and vec(w) columns without a copy
-    jac = np.zeros((3, n_steps, d, d, n))
-    j1, j2, j3 = jac
-    _tau_product(j1, system.jac_many(ybar[1:]), s_run, tau)
-    _tau_product(j2, system.jac_many(ybar[:-1]), s_prev, tau)
-    transported = hs.sig_dot * (hs.res.omega @ hs.sig0.T).T
+    rows = {"s_run": s_run, "s_prev": s_prev, "g1": hs.g1, "sig0": hs.sig0}
     if substitution:
-        linear = transported - (g1 - hs.sig0)
+        rows["linear"] = hs.transported - (hs.g1 - hs.sig0)
     else:
-        np.subtract(j2, j1, out=j3)
-    for i in range(d):
+        rows["transported"] = hs.transported
+    grams = FeatureGrams(rows)
+
+    def at(wbar: Array) -> StructuredJacobian:
+        _check_w(wbar, hs)
+        ybar = stage1_readout(wbar, hs, y_start, tau).states
+        end = Term(system.jac_many(ybar[1:]), tau, "s_run")
+        beg = Term(system.jac_many(ybar[:-1]), tau, "s_prev")
         if substitution:
-            j3[:, i, i] = linear
+            fam3 = (Term(None, 1.0, "linear"),)
         else:
-            np.subtract(transported, j1[:, i, i], out=j3[:, i, i])
-            j3[:, i, i] += j2[:, i, i]
-        j1[:, i, i] -= g1
-        j2[:, i, i] -= hs.sig0
-    return ResidualJacobian(j=jac.reshape(3 * n_steps * d, d * n))
+            fam3 = (Term(None, 1.0, "transported"),
+                    Term(end.factor, -tau, "s_run"), beg)
+        return StructuredJacobian(((end, Term(None, -1.0, "g1")),
+                                   (beg, Term(None, -1.0, "sig0")), fam3),
+                                  grams, wbar.shape[0])
+
+    return at
+
+
+def stage2_operator(system: OdeSystem, hs: HiddenSequence, ybar: Trajectory,
+                    tau: float, substitution: bool = True
+                    ) -> Callable[[Array], StructuredJacobian]:
+    """Stage-2 Jacobian operator as a function of w.
+
+    Each output point depends on a single step. The substituted family-3
+    residual is quadratic in w, so its derivative carries two product-rule
+    contributions: one through the outer weight factor, on the component
+    diagonal, and one through the transported previous increment. That
+    diagonal feature changes with w; the other feature rows and their
+    Grams are built once here.
+    """
+    v = hs.res.v
+    rows = {"sig": hs.sig, "g1": hs.g1, "sig0": hs.sig0}
+    if not substitution:
+        f_beg = system.rhs_many(ybar.states[:-1])
+        rows["linear"] = tau * (hs.sig_dot * (f_beg @ v.T))
+    grams = FeatureGrams(rows)
+
+    def at(w: Array) -> StructuredJacobian:
+        _check_w(w, hs)
+        y = stage2_readout(w, hs, ybar, tau).states
+        end = Term(system.jac_many(y[1:]), tau, "sig")
+        extra = {}
+        if substitution:
+            prev_incr = hs.sig0 @ w.T
+            carried = hs.sig_dot * (prev_incr @ v.T)
+            inner = np.einsum("im,km,ma->kia", w, hs.sig_dot, v)
+            extra["linear"] = tau * carried - (hs.g1 - hs.sig0)
+            fam3 = (Term(inner, tau, "sig0"), Term(None, 1.0, "linear"))
+        else:
+            fam3 = (Term(end.factor, -tau, "sig"), Term(None, 1.0, "linear"))
+        return StructuredJacobian(((end, Term(None, -1.0, "g1")),
+                                   (Term(None, -1.0, "sig0"),), fam3),
+                                  grams, w.shape[0], extra)
+
+    return at
+
+
+def stage1_jacobian(system: OdeSystem, wbar: Array, hs: HiddenSequence,
+                    y_start: Array, tau: float,
+                    substitution: bool = True) -> ResidualJacobian:
+    """Dense derivative of the stage-1 residuals with respect to wbar."""
+    op = stage1_operator(system, hs, y_start, tau, substitution)(wbar)
+    return ResidualJacobian(op.dense())
 
 
 def stage2_jacobian(system: OdeSystem, w: Array, hs: HiddenSequence,
                     ybar: Trajectory, tau: float,
                     substitution: bool = True) -> ResidualJacobian:
-    """Analytic derivative of the stage-2 residuals with respect to w.
-
-    Each output point depends on a single step. The substituted family-3
-    residual is quadratic in w, so its derivative carries two product-rule
-    contributions: one through the outer weight factor, on the component
-    diagonal, and one through the transported previous increment.
-    """
-    _check_w(w, hs)
-    n_steps, n = hs.sig.shape
-    d = w.shape[0]
-    y = stage2_readout(w, hs, ybar, tau).states
-    g1 = _g1(hs)
-    v = hs.res.v
-    jac = np.zeros((3, n_steps, d, d, n))
-    j1, j2, j3 = jac
-    _tau_product(j1, system.jac_many(y[1:]), hs.sig, tau)
-    if substitution:
-        prev_incr = hs.sig0 @ w.T
-        carried = hs.sig_dot * (prev_incr @ v.T)
-        inner = np.einsum("im,km,ma->kia", w, hs.sig_dot, v)
-        _tau_product(j3, inner, hs.sig0, tau)
-        linear = tau * carried - (g1 - hs.sig0)
-    else:
-        f_beg = system.rhs_many(ybar.states[:-1])
-        carried = hs.sig_dot * (f_beg @ v.T)
-        np.negative(j1, out=j3)
-        linear = tau * carried
-    for i in range(d):
-        j3[:, i, i] += linear
-        j1[:, i, i] -= g1
-        j2[:, i, i] -= hs.sig0
-    return ResidualJacobian(j=jac.reshape(3 * n_steps * d, d * n))
+    """Dense derivative of the stage-2 residuals with respect to w."""
+    op = stage2_operator(system, hs, ybar, tau, substitution)(w)
+    return ResidualJacobian(op.dense())
 
 
 def fd_jacobian(residual_fn, w: Array, step: float = 1e-6) -> ResidualJacobian:

@@ -244,17 +244,19 @@ def train(cfg: RunConfig) -> Tuple[TrainedModel, RunReport]:
                 system, w, hs1, anchor, cfg.tau,
                 substitution=cfg.e3_substitution).stacked()
 
-        def jac1(w: Array):
-            return constraints.stage1_jacobian(
-                system, w, hs1, anchor, cfg.tau,
-                substitution=cfg.e3_substitution)
-
         e_init = res1(w0)
         stage1_initial_loss = float(e_init @ e_init)
-        w1, hist1 = regression.solve_stage(res1, jac1, w0, cfg.stage1)
+        w1, hist1 = regression.solve_stage(
+            res1, constraints.stage1_operator(
+                system, hs1, anchor, cfg.tau,
+                substitution=cfg.e3_substitution),
+            w0, cfg.stage1)
         ybar = constraints.stage1_readout(w1, hs1, anchor, cfg.tau, t0=kept.t0)
         sr1 = constraints.stage1_residuals(system, w1, hs1, anchor, cfg.tau,
                                            substitution=cfg.e3_substitution)
+        # stage 2 drives its own sequence; free this one and the features
+        # cached on it before stage 2 allocates
+        del hs1, res1
     timings["stage1"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -270,14 +272,13 @@ def train(cfg: RunConfig) -> Tuple[TrainedModel, RunReport]:
                 system, w, hs2, ybar, cfg.tau,
                 substitution=cfg.e3_substitution).stacked()
 
-        def jac2(w: Array):
-            return constraints.stage2_jacobian(
-                system, w, hs2, ybar, cfg.tau,
-                substitution=cfg.e3_substitution)
-
         e_init = res2(w1)
         stage2_initial_loss = float(e_init @ e_init)
-        w2, hist2 = regression.solve_stage(res2, jac2, w1, cfg.stage2)
+        w2, hist2 = regression.solve_stage(
+            res2, constraints.stage2_operator(
+                system, hs2, ybar, cfg.tau,
+                substitution=cfg.e3_substitution),
+            w1, cfg.stage2)
         y_final = constraints.stage2_readout(w2, hs2, ybar, cfg.tau)
         sr2 = constraints.stage2_residuals(system, w2, hs2, ybar, cfg.tau,
                                            substitution=cfg.e3_substitution)

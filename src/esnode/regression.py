@@ -9,10 +9,14 @@ regression on the activation features.
 
 Both solves go through damped_lstsq, which factors the smaller of the primal
 Gram matrix a^T a and the dual one a a^T. Tall and square problems (harmonic,
-vdp) take the primal form with the same floating-point operations as a plain
-normal-equation solve, so their artifacts do not change. Wide problems
+vdp) take the primal form on the dense Jacobian, with the same
+floating-point operations as a plain normal-equation solve. Wide problems
 (lorenz) take the dual form plus one step of iterative refinement, which
-agrees with the primal answer only to roundoff.
+agrees with the primal answer only to roundoff. On the wide Gauss-Newton
+stages the Jacobian arrives as a constraints.StructuredJacobian: the dual
+Gram is built from the stage's cached Kronecker feature Grams and the
+products with J and J^T are contractions of the same terms, so J itself is
+never formed.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 import scipy.linalg
 
+from .constraints import ResidualJacobian
 from .errors import LengthMismatch, NonFinite, SingularSystem
 from .reservoir import HiddenSequence
 from .trial import Trajectory
@@ -86,28 +91,36 @@ def _cholesky(gram: Array, what: str):
     return factor
 
 
-def damped_lstsq(a: Array, b: Array, lam: float,
+def damped_lstsq(a, b: Array, lam: float,
                  what: str = "normal equations are singular") -> Array:
     """x minimizing ||a x - b||^2 + lam ||x||^2, for 1-D or 2-D b.
 
-    The damping is floored at LAMBDA_FLOOR. A tall or square a solves the
-    primal normal equations (a^T a + lam I) x = a^T b. A wide a solves the
+    a is an array or a Jacobian operator (constraints.ResidualJacobian or
+    StructuredJacobian); an operator takes a 1-D b. The damping is floored
+    at LAMBDA_FLOOR. A tall or square a solves the primal normal equations
+    (a^T a + lam I) x = a^T b on the dense matrix. A wide a solves the
     smaller dual system (a a^T + lam I) y = b and returns x = a^T y, which
     is the same x by the push-through identity; one step of iterative
     refinement on y, reusing the Cholesky factor, removes most of the error
-    the unrefined dual solve makes when a is ill-conditioned. A failed
-    factorization raises SingularSystem with the message what.
+    the unrefined dual solve makes when a is ill-conditioned. The dual path
+    uses only the operator's gram, matvec and rmatvec, so a structured
+    Jacobian is never formed. A failed factorization raises SingularSystem
+    with the message what.
     """
     lam = max(lam, LAMBDA_FLOOR)
-    primal = a.shape[0] >= a.shape[1]
-    gram = a.T @ a if primal else a @ a.T
+    if isinstance(a, np.ndarray):
+        a = ResidualJacobian(a)
+    if a.shape[0] >= a.shape[1]:
+        j = a.dense()
+        gram = j.T @ j
+        gram[np.diag_indices_from(gram)] += lam
+        return scipy.linalg.cho_solve(_cholesky(gram, what), j.T @ b)
+    gram = a.gram()
     gram[np.diag_indices_from(gram)] += lam
     factor = _cholesky(gram, what)
-    if primal:
-        return scipy.linalg.cho_solve(factor, a.T @ b)
     y = scipy.linalg.cho_solve(factor, b)
-    y -= scipy.linalg.cho_solve(factor, a @ (a.T @ y) + lam * y - b)
-    return a.T @ y
+    y -= scipy.linalg.cho_solve(factor, a.matvec(a.rmatvec(y)) + lam * y - b)
+    return a.rmatvec(y)
 
 
 def _family_losses(e: Array) -> tuple:
@@ -136,9 +149,10 @@ def ridge_initial_guess(hs: HiddenSequence, trial: Trajectory, tau: float,
 def gn_step(j, e: Array, lam: float) -> Array:
     """Damped Gauss-Newton step: solve the regularized least-squares problem.
 
+    j is the Jacobian as an array or an operator (see damped_lstsq).
     Returns vec(delta) minimizing the linearized loss; the caller reshapes.
     """
-    return -damped_lstsq(getattr(j, "j", j), e, lam)
+    return -damped_lstsq(j, e, lam)
 
 
 def solve_stage(residual_fn: Callable[[Array], Array],

@@ -11,6 +11,7 @@ activations, and the activation derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -66,6 +67,8 @@ class HiddenSequence:
     produced h[n+1]. z0 is the preactivation with the interval term removed
     (z - b*tau), sig0 its activation, and sig_dot = 1 - sig**2. The source
     reservoir rides along so downstream residuals can reach omega and v.
+    The derived features g1 and transported are computed on first use and
+    kept, so every residual and Jacobian of a stage shares one copy.
     """
 
     h: Array
@@ -80,6 +83,20 @@ class HiddenSequence:
     @property
     def n_steps(self) -> int:
         return self.z.shape[0]
+
+    @cached_property
+    def g1(self) -> Array:
+        """Interval-derivative feature sig + tau*b (.) sig_dot.
+
+        The b*tau factor is recovered from the cached identity z - z0 = b*tau.
+        """
+        return self.sig + (self.z - self.z0) * self.sig_dot
+
+    @cached_property
+    def transported(self) -> Array:
+        """Interval-zero activations carried through one recurrent update,
+        sig_dot (.) (omega sig0^T)^T."""
+        return self.sig_dot * (self.res.omega @ self.sig0.T).T
 
     def drop_leading(self, n_drop: int) -> "HiddenSequence":
         """Discard the first n_drop update rows (washout)."""

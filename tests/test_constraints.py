@@ -4,8 +4,9 @@ import pytest
 import scipy.sparse
 
 from esnode.constraints import (ResidualJacobian, StageResiduals, fd_jacobian,
-                                stage1_jacobian, stage1_readout,
-                                stage1_residuals, stage2_jacobian,
+                                stage1_jacobian, stage1_operator,
+                                stage1_readout, stage1_residuals,
+                                stage2_jacobian, stage2_operator,
                                 stage2_readout, stage2_residuals)
 from esnode.errors import DimensionMismatch, NonFinite
 from esnode.problems import OdeSystem, get_system
@@ -450,6 +451,59 @@ class TestJacobianAssemblyOracle:
                                         substitution)
         assert got.shape == expect.shape
         assert np.array_equal(got, expect)
+
+
+def wide_operator(stage, name="lorenz", substitution=True, seed=0,
+                  n_neurons=40, n_points=6, tau=0.05):
+    """A stage's structured Jacobian at random weights on an instance with
+    more weight columns than residual rows (N d > 3 n d), plus a generator
+    for test vectors."""
+    system, res, hs, kept = make_instance(name=name, seed=seed,
+                                          n_neurons=n_neurons,
+                                          n_points=n_points, tau=tau)
+    rng = np.random.default_rng(seed + 500)
+    w = 0.3 * rng.standard_normal((system.dim, n_neurons))
+    if stage == 1:
+        op = stage1_operator(system, hs, kept.states[0], tau,
+                             substitution)(w)
+    else:
+        ybar = stage1_readout(w, hs, kept.states[0], tau, t0=kept.t0)
+        hs2 = drive(res, Trajectory(t0=0.0, tau=tau, states=ybar.states[:-1]))
+        w2 = w + 0.3 * rng.standard_normal(w.shape)
+        op = stage2_operator(system, hs2, ybar, tau, substitution)(w2)
+    return op, rng
+
+
+class TestStructuredJacobian:
+    """Gram and products of the structured operator against its dense J."""
+
+    @pytest.mark.parametrize("name", ["harmonic", "vdp", "lorenz"])
+    @pytest.mark.parametrize("stage", [1, 2])
+    @pytest.mark.parametrize("substitution", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_products_match_dense(self, name, stage, substitution, seed):
+        op, rng = wide_operator(stage, name, substitution, seed)
+        j = op.dense()
+        assert j.shape == op.shape
+        assert j.shape[1] > j.shape[0]
+        x = rng.standard_normal(j.shape[1])
+        y = rng.standard_normal(j.shape[0])
+        gram = op.gram()
+        assert np.array_equal(gram, gram.T)
+        for got, expect in ((gram, j @ j.T), (op.matvec(x), j @ x),
+                            (op.rmatvec(y), j.T @ y)):
+            assert got.shape == expect.shape
+            assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    def test_feature_grams_computed_once_per_stage(self):
+        system, _, hs, kept = make_instance(n_neurons=40)
+        at = stage1_operator(system, hs, kept.states[0], 0.05)
+        first = at(np.zeros((2, 40)))
+        first.gram()
+        cached = first.grams.blocks({})["g1", "sig0"]
+        second = at(np.ones((2, 40)))
+        second.gram()
+        assert np.shares_memory(second.grams.blocks({})["g1", "sig0"], cached)
 
 
 class TestFdJacobian:

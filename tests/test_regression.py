@@ -3,15 +3,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from esnode.constraints import (ResidualJacobian, stage1_jacobian,
+from esnode.constraints import (FeatureGrams, ResidualJacobian,
+                                StructuredJacobian, Term, stage1_jacobian,
                                 stage1_residuals)
 from esnode.errors import LengthMismatch, NonFinite, SingularSystem
+from esnode.pipeline import RunConfig, train
 from esnode.regression import (GnConfig, IterationRecord, damped_lstsq,
                                gn_step, history_to_log, ridge_initial_guess,
                                solve_stage)
+from esnode.reservoir import ReservoirParams
 from esnode.trial import Trajectory
 
-from test_constraints import make_instance
+from test_constraints import make_instance, wide_operator
 
 
 class TestGnConfig:
@@ -100,6 +103,72 @@ class TestDampedLstsq:
         with pytest.raises(SingularSystem, match="ridge normal matrix"):
             damped_lstsq(a, np.ones(shape[0]), 1e-12,
                          what="ridge normal matrix is singular")
+
+
+def feature_operator(feats):
+    """StructuredJacobian with one family, one identity term and d = 1, so
+    that J equals the given feature rows."""
+    return StructuredJacobian(((Term(None, 1.0, "f"),),),
+                              FeatureGrams({"f": feats}), 1)
+
+
+class TestDampedLstsqOperator:
+    @pytest.mark.parametrize("stage", [1, 2])
+    @pytest.mark.parametrize("name", ["harmonic", "vdp", "lorenz"])
+    def test_matches_dense_solve(self, stage, name):
+        op, rng = wide_operator(stage, name)
+        b = rng.standard_normal(op.shape[0])
+        assert op.shape[1] > op.shape[0]
+        x = damped_lstsq(op, b, 1.0)
+        assert rel_err(x, damped_lstsq(op.dense(), b, 1.0)) < 1e-10
+
+    def test_operator_and_array_agree_when_tall(self):
+        op, rng = wide_operator(1, "vdp", n_neurons=8)
+        assert op.shape[0] >= op.shape[1]
+        b = rng.standard_normal(op.shape[0])
+        np.testing.assert_array_equal(damped_lstsq(op, b, 1e-7),
+                                      damped_lstsq(op.dense(), b, 1e-7))
+
+    def test_singular_gram_is_singular_system(self):
+        op = feature_operator(np.full((2, 8), 1e8))
+        with pytest.raises(SingularSystem,
+                           match="normal equations are singular"):
+            damped_lstsq(op, np.ones(2), 1e-12)
+
+    def test_ill_conditioned_gram_warns(self):
+        a, b = wide_ill_conditioned(0)
+        with pytest.warns(scipy.linalg.LinAlgWarning):
+            x = damped_lstsq(feature_operator(a), b, 1e-6)
+        assert np.isfinite(x).all()
+
+
+def small_config(problem, y0, n_neurons, n_points):
+    gn = GnConfig(lam=1e-6, max_iters=3)
+    return RunConfig(problem=problem, y0=y0, tau=0.03, n_points=n_points,
+                     n_washout=5, refine_factor=2,
+                     reservoir=ReservoirParams(n_neurons=n_neurons,
+                                               connectivity=0.3,
+                                               spectral_norm=2.0),
+                     stage1=gn, stage2=gn)
+
+
+def refuse(self):
+    raise AssertionError("this path must not be taken")
+
+
+class TestTrainSolvePaths:
+    def test_wide_stages_never_form_j(self, monkeypatch):
+        # 3 * 10 * 3 residual rows against 3 * 40 weights
+        monkeypatch.setattr(StructuredJacobian, "dense", refuse)
+        _, report = train(small_config("lorenz", (1.0, 1.0, 1.0), 40, 10))
+        assert report.stage1_final_loss < report.stage1_initial_loss
+        assert np.isfinite(report.stage2_final_loss)
+
+    def test_tall_stages_never_build_the_dual_gram(self, monkeypatch):
+        # 3 * 30 * 2 residual rows against 2 * 10 weights
+        monkeypatch.setattr(StructuredJacobian, "gram", refuse)
+        _, report = train(small_config("harmonic", (1.0, 0.0), 10, 30))
+        assert report.stage1_final_loss < report.stage1_initial_loss
 
 
 class TestRidgeInitialGuess:
