@@ -4,9 +4,12 @@ A run proceeds in fixed order: integrate the trial solution, split off the
 washout, drive the reservoir over the trial and fit the first readout against
 the constraint residuals, re-drive the reservoir over the first-stage output
 and refit, then score both stages against a reference trajectory. The
-reference is the closed-form solution when the problem has one, otherwise a
-heavily refined RK4 run. All artifacts a run produces are written atomically
-so a crash never leaves a half-written file.
+reference is the closed-form solution when the problem has one, otherwise
+RK4 at step tau/20, whose O(h^4) global error stays far below what the
+metrics resolve (see reference_trajectory). The reference never enters the
+fit, so its step moves only reference.csv and the metrics. All artifacts a
+run produces are written atomically so a crash never leaves a half-written
+file.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ Array = np.ndarray
 PRNG_NAME = "numpy.random.PCG64"
 
 # refinement of the RK4 oracle used when no closed-form reference exists
-REFERENCE_REFINE = 100
+REFERENCE_REFINE = 20
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,13 @@ def _phase(name: str):
 
 
 def reference_trajectory(system: OdeSystem, cfg: RunConfig) -> Trajectory:
-    """Reference over the kept span: closed form if available, else fine RK4."""
+    """Reference over the kept span: closed form if available, else fine RK4.
+
+    The RK4 reference steps at tau/REFERENCE_REFINE from y0 and keeps every
+    REFERENCE_REFINE-th state. On the shipped configs, max-abs gaps to a run
+    at half that step are 2.2e-8 (vdp, state scale 2.7) and 1.2e-7 (lorenz,
+    state scale 34); to tau/400 they are 2.4e-8 and 1.3e-7.
+    """
     y0 = np.asarray(cfg.y0, dtype=float)
     t_anchor = cfg.n_washout * cfg.tau
     if system.reference is not None:

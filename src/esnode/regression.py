@@ -75,11 +75,15 @@ def _cholesky(gram: Array, what: str):
 
     The warning fires where scipy.linalg.solve's does: when LAPACK's
     estimate of the reciprocal 1-norm condition number is below machine
-    epsilon.
+    epsilon. Every Gram here is one esnode built, so scipy's own
+    finiteness scans are skipped; a non-finite entry shows in the 1-norm
+    the condition estimate needs anyway and raises NonFinite.
     """
     anorm = np.linalg.norm(gram, 1)
+    if not np.isfinite(anorm):
+        raise NonFinite(f"damped Gram matrix is not finite (1-norm {anorm})")
     try:
-        factor = scipy.linalg.cho_factor(gram)
+        factor = scipy.linalg.cho_factor(gram, check_finite=False)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise SingularSystem(f"{what}: {exc}") from exc
     pocon, = scipy.linalg.get_lapack_funcs(("pocon",), (factor[0],))
@@ -105,8 +109,10 @@ def damped_lstsq(a, b: Array, lam: float,
     the unrefined dual solve makes when a is ill-conditioned. The dual path
     uses only the operator's gram, matvec and rmatvec, so a structured
     Jacobian is never formed. A failed factorization raises SingularSystem
-    with the message what.
+    with the message what; a non-finite Gram or b raises NonFinite.
     """
+    if not np.isfinite(b).all():
+        raise NonFinite("least-squares right-hand side is not finite")
     lam = max(lam, LAMBDA_FLOOR)
     if isinstance(a, np.ndarray):
         a = ResidualJacobian(a)
@@ -114,12 +120,14 @@ def damped_lstsq(a, b: Array, lam: float,
         j = a.dense()
         gram = j.T @ j
         gram[np.diag_indices_from(gram)] += lam
-        return scipy.linalg.cho_solve(_cholesky(gram, what), j.T @ b)
+        return scipy.linalg.cho_solve(_cholesky(gram, what), j.T @ b,
+                                      check_finite=False)
     gram = a.gram()
     gram[np.diag_indices_from(gram)] += lam
     factor = _cholesky(gram, what)
-    y = scipy.linalg.cho_solve(factor, b)
-    y -= scipy.linalg.cho_solve(factor, a.matvec(a.rmatvec(y)) + lam * y - b)
+    y = scipy.linalg.cho_solve(factor, b, check_finite=False)
+    y -= scipy.linalg.cho_solve(factor, a.matvec(a.rmatvec(y)) + lam * y - b,
+                                check_finite=False)
     return a.rmatvec(y)
 
 

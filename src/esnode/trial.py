@@ -14,6 +14,12 @@ numpy update, so the trajectories are bitwise those of a numpy loop.
 Python floats raise OverflowError where numpy would store inf (vdp's
 `** 2`); the integrators report that step as NonFinite, like any other
 non-finite state.
+
+The step loops carry no per-step checks: the first `rhs` result of a run is
+checked once to have d components (ValueError otherwise), and every later
+call of the same `rhs` is trusted. The `y + h*k` stages run at C level as
+`map(add, y, map(h.__mul__, k))`, the same float multiply and add per
+component as the loop they replace.
 """
 from __future__ import annotations
 
@@ -21,6 +27,8 @@ import io
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add
 
 import numpy as np
 
@@ -75,15 +83,34 @@ def _states(buf: array, d: int, what: str) -> Array:
     return states
 
 
+def _first_stage_rhs(f, d: int, n_steps: int):
+    """The right-hand side each of n_steps steps calls at its first stage.
+
+    The first step's call checks that f returns d components; every later
+    step gets f itself, so the loops pay for the check once per run.
+    """
+    if n_steps < 1:
+        return ()
+
+    def checked(y):
+        k = f(y)
+        if len(k) != d:
+            raise ValueError(f"rhs returned {len(k)} components for a "
+                             f"{d}-component state")
+        return k
+
+    return chain((checked,), repeat(f, n_steps - 1))
+
+
 def euler(system: OdeSystem, y0, tau: float, n_steps: int, t0: float = 0.0) -> Trajectory:
     """Explicit Euler trajectory of n_steps updates; output has n_steps+1 points."""
     y = np.asarray(y0, dtype=float).tolist()
     d = len(y)
     buf = array("d", y)
-    f = system.rhs
+    step = float(tau).__mul__
     try:
-        for _ in range(n_steps):
-            y = [a + tau * k for a, k in zip(y, f(y), strict=True)]
+        for f in _first_stage_rhs(system.rhs, d, n_steps):
+            y = [*map(add, y, map(step, f(y)))]
             buf.extend(y)
     except OverflowError:
         # numpy would have stored inf in the state being computed
@@ -97,15 +124,16 @@ def rk4(system: OdeSystem, y0, tau: float, n_steps: int, t0: float = 0.0) -> Tra
     d = len(y)
     buf = array("d", y)
     f = system.rhs
-    half = 0.5 * tau
-    sixth = tau / 6.0
+    h = float(tau)
+    half = 0.5 * h
+    sixth = h / 6.0
+    half_step, full_step = half.__mul__, h.__mul__
     try:
-        for _ in range(n_steps):
-            k1 = f(y)
-            # one length check per step: every stage calls the same f
-            k2 = f([a + half * k for a, k in zip(y, k1, strict=True)])
-            k3 = f([a + half * k for a, k in zip(y, k2)])
-            k4 = f([a + tau * k for a, k in zip(y, k3)])
+        for f1 in _first_stage_rhs(f, d, n_steps):
+            k1 = f1(y)
+            k2 = f([*map(add, y, map(half_step, k1))])
+            k3 = f([*map(add, y, map(half_step, k2))])
+            k4 = f([*map(add, y, map(full_step, k3))])
             y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
             buf.extend(y)

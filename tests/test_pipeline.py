@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from esnode import pipeline
 from esnode.errors import (DimensionMismatch, LengthMismatch, NonFinite,
                            TrialDiverged)
 from esnode.pipeline import (PRNG_NAME, REFERENCE_REFINE, Metrics, RunConfig,
@@ -16,7 +17,9 @@ from esnode.pipeline import (PRNG_NAME, REFERENCE_REFINE, Metrics, RunConfig,
 from esnode.problems import get_system
 from esnode.regression import GnConfig
 from esnode.reservoir import ReservoirParams
-from esnode.trial import Trajectory
+from esnode.trial import Trajectory, to_csv
+
+from test_acceptance import shipped_config
 
 
 def smoke_config(**overrides):
@@ -140,6 +143,30 @@ class TestReferenceTrajectory:
                                               n_points=10, n_washout=5,
                                               refine_factor=7))
         np.testing.assert_array_equal(a.states, b.states)
+
+    @pytest.mark.parametrize("name", ["vdp", "lorenz"])
+    def test_shipped_reference_is_self_converged(self, name, monkeypatch):
+        # halving the RK4 step moves the shipped references by 2.2e-8 (vdp)
+        # and 1.2e-7 (lorenz), far below any metric tolerance
+        cfg = shipped_config(name)
+        system = get_system(name)
+        ref = reference_trajectory(system, cfg)
+        monkeypatch.setattr(pipeline, "REFERENCE_REFINE",
+                            2 * REFERENCE_REFINE)
+        finer = reference_trajectory(system, cfg)
+        assert finer.n_points == ref.n_points
+        assert np.abs(finer.states - ref.states).max() <= 1e-6
+
+    def test_reference_never_feeds_the_fit(self, monkeypatch):
+        cfg = smoke_config(problem="vdp", y0=(2.0, 0.0), tau=0.1)
+        model, report = train(cfg)
+        monkeypatch.setattr(pipeline, "REFERENCE_REFINE", 40)
+        model2, report2 = train(cfg)
+        assert (report2.reference.states.tobytes()
+                != report.reference.states.tobytes())
+        assert to_csv(model2.y_final) == to_csv(model.y_final)
+        assert model2.w_stage1.tobytes() == model.w_stage1.tobytes()
+        assert model2.w_stage2.tobytes() == model.w_stage2.tobytes()
 
 
 class TestTrain:

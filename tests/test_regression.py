@@ -104,6 +104,20 @@ class TestDampedLstsq:
             damped_lstsq(a, np.ones(shape[0]), 1e-12,
                          what="ridge normal matrix is singular")
 
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 6)], ids=["tall", "wide"])
+    def test_non_finite_gram_is_non_finite(self, shape):
+        a = np.ones(shape)
+        a[1, 2] = np.nan
+        with pytest.raises(NonFinite, match="Gram matrix is not finite"):
+            damped_lstsq(a, np.ones(shape[0]), 1e-7)
+
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 6)], ids=["tall", "wide"])
+    def test_non_finite_rhs_is_non_finite(self, shape):
+        b = np.ones(shape[0])
+        b[1] = np.inf
+        with pytest.raises(NonFinite, match="right-hand side is not finite"):
+            damped_lstsq(np.eye(*shape), b, 1e-7)
+
 
 def feature_operator(feats):
     """StructuredJacobian with one family, one identity term and d = 1, so
@@ -140,6 +154,12 @@ class TestDampedLstsqOperator:
         with pytest.warns(scipy.linalg.LinAlgWarning):
             x = damped_lstsq(feature_operator(a), b, 1e-6)
         assert np.isfinite(x).all()
+
+    def test_non_finite_gram_is_non_finite(self):
+        feats = np.ones((2, 8))
+        feats[0, 3] = np.nan
+        with pytest.raises(NonFinite, match="Gram matrix is not finite"):
+            damped_lstsq(feature_operator(feats), np.ones(2), 1e-7)
 
 
 def small_config(problem, y0, n_neurons, n_points):
@@ -190,6 +210,12 @@ class TestRidgeInitialGuess:
         expect = np.zeros((1, 4))
         expect[0, 0] = 1.0
         np.testing.assert_allclose(w, expect, atol=1e-6)
+
+    def test_non_finite_features_are_non_finite(self):
+        _, _, hs, kept = make_instance()
+        hs.sig[2, 4] = np.nan
+        with pytest.raises(NonFinite, match="Gram matrix is not finite"):
+            ridge_initial_guess(hs, kept, 0.05, lam=1e-7)
 
     def test_length_mismatch(self):
         _, _, hs, kept = make_instance()

@@ -69,6 +69,18 @@ class TestEuler:
         assert bad == step
 
 
+class TestRhsLengthCheck:
+    @pytest.mark.parametrize("method", [euler, rk4])
+    @pytest.mark.parametrize("rhs", [
+        lambda y: (y[1],),
+        lambda y: (y[1], -y[0], 0.0),
+    ], ids=["one-too-few", "one-too-many"])
+    def test_wrong_component_count_raises(self, method, rhs):
+        system = dataclasses.replace(get_system("harmonic"), rhs=rhs)
+        with pytest.raises(ValueError):
+            method(system, [1.0, 0.0], 0.1, 5)
+
+
 class TestRk4:
     def test_harmonic_accuracy(self):
         # order analysis: per-step error tau^5/120 = 2.6e-9, so 100 steps
