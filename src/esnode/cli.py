@@ -21,9 +21,7 @@ from . import trial as trial_mod
 from .errors import (DegenerateMatrix, DimensionMismatch, LengthMismatch,
                      NonFinite, SingularSystem, TrialDiverged)
 from .pipeline import RunConfig
-from .problems import get_system
-from .reservoir import build, drive
-from .trial import Trajectory
+from .reservoir import build
 
 SEED_ENV_VAR = "ESNODE_SEED"
 
@@ -102,13 +100,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_trial(args) -> int:
     cfg = _load_config(args.config, args.overrides)
-    system = get_system(cfg.problem)
-    try:
-        traj = trial_mod.refine_downsample(
-            system, cfg.y0, cfg.tau, cfg.n_washout + cfg.n_points,
-            cfg.refine_factor)
-    except NonFinite as exc:
-        raise TrialDiverged(f"trial integration diverged: {exc}") from exc
+    _, traj, _, _ = pipeline.integrate_trial(cfg)
     os.makedirs(args.out, exist_ok=True)
     pipeline.atomic_write_text(os.path.join(args.out, "trial.csv"),
                                trial_mod.to_csv(traj))
@@ -117,45 +109,31 @@ def _cmd_trial(args) -> int:
 
 
 def _gradcheck_errors(cfg: RunConfig) -> tuple:
-    """Max relative analytic-vs-FD Jacobian error for both stages."""
-    system = get_system(cfg.problem)
-    n_total = cfg.n_washout + cfg.n_points
-    full_trial = trial_mod.refine_downsample(
-        system, cfg.y0, cfg.tau, n_total, cfg.refine_factor)
-    washout, kept = trial_mod.washout_crop(full_trial, cfg.n_washout,
-                                           cfg.n_points + 1)
+    """Max relative analytic-vs-FD Jacobian error of stage 1, then stage 2.
+
+    Both stages are set up as pipeline.train sets them up, and both
+    Jacobians are taken at the ridge warm start w; stage 2 is driven by the
+    stage-1 readout at that w.
+    """
+    system, _, washout, kept = pipeline.integrate_trial(cfg)
     anchor = kept.states[0]
     res = build(cfg.reservoir, system.dim)
-    inputs1 = Trajectory(t0=full_trial.t0, tau=cfg.tau,
-                         states=full_trial.states[:-1])
-    hs1 = drive(res, inputs1).drop_leading(cfg.n_washout)
+    hs1 = pipeline.drive_past_washout(res, washout, kept)
     w = regression.ridge_initial_guess(hs1, kept, cfg.tau, cfg.stage1.lam)
-
-    def res1(wx):
-        return constraints.stage1_residuals(
-            system, wx, hs1, anchor, cfg.tau,
-            substitution=cfg.e3_substitution).stacked()
-
-    j_an = constraints.stage1_jacobian(
-        system, w, hs1, anchor, cfg.tau, substitution=cfg.e3_substitution).j
-    j_fd = constraints.fd_jacobian(res1, w).j
-    rel1 = float(np.abs(j_an - j_fd).max() / np.abs(j_fd).max())
-
     ybar = constraints.stage1_readout(w, hs1, anchor, cfg.tau, t0=kept.t0)
-    inputs2 = Trajectory(t0=full_trial.t0, tau=cfg.tau,
-                         states=np.vstack([washout.states, ybar.states[:-1]]))
-    hs2 = drive(res, inputs2).drop_leading(cfg.n_washout)
-
-    def res2(wx):
-        return constraints.stage2_residuals(
-            system, wx, hs2, ybar, cfg.tau,
-            substitution=cfg.e3_substitution).stacked()
-
-    j_an = constraints.stage2_jacobian(
-        system, w, hs2, ybar, cfg.tau, substitution=cfg.e3_substitution).j
-    j_fd = constraints.fd_jacobian(res2, w).j
-    rel2 = float(np.abs(j_an - j_fd).max() / np.abs(j_fd).max())
-    return rel1, rel2
+    hs2 = pipeline.drive_past_washout(res, washout, ybar)
+    errors = []
+    for residuals, jacobian, hs, start in (
+            (constraints.stage1_residuals, constraints.stage1_jacobian,
+             hs1, anchor),
+            (constraints.stage2_residuals, constraints.stage2_jacobian,
+             hs2, ybar)):
+        j_an = jacobian(system, w, hs, start, cfg.tau).j
+        j_fd = constraints.fd_jacobian(
+            lambda wx: residuals(system, wx, hs, start, cfg.tau).stacked(),
+            w).j
+        errors.append(float(np.abs(j_an - j_fd).max() / np.abs(j_fd).max()))
+    return tuple(errors)
 
 
 def _cmd_gradcheck(args) -> int:

@@ -16,15 +16,10 @@ the whole weight history through running activation sums. Stage 2 re-drives
 the reservoir with the stage-1 output and anchors each step on it, making
 all dependence single-step, but family 3 becomes quadratic in the weights.
 
-By default family 3 uses the substituted form: f at the anchor is replaced
-by the interval-zero readout and f at the new point by the
-interval-derivative readout, which makes the residual polynomial in the
-weights. Passing substitution=False evaluates f directly instead.
-
 Each row block of a stage Jacobian is a sum of Kronecker terms: a d x d
 factor per step (the vector-field Jacobian, the identity, or stage 2's
 inner factor) times a row of reservoir features. The factors change with
-the weights; the feature rows, apart from stage 2's substituted family-3
+the weights; the feature rows, apart from stage 2's family-3 linear
 feature, are fixed for the whole stage. stage1_operator and
 stage2_operator build those rows once per stage and return
 StructuredJacobian operators. A wide solve builds the dual Gram J J^T from
@@ -132,8 +127,7 @@ def stage2_readout(w: Array, hs: HiddenSequence, ybar: Trajectory,
 
 
 def stage1_residuals(system: OdeSystem, wbar: Array, hs: HiddenSequence,
-                     y_start: Array, tau: float,
-                     substitution: bool = True) -> StageResiduals:
+                     y_start: Array, tau: float) -> StageResiduals:
     """All three first-stage residual families at the given weights."""
     ybar = stage1_readout(wbar, hs, y_start, tau).states
     f_end = system.rhs_many(ybar[1:])
@@ -143,30 +137,22 @@ def stage1_residuals(system: OdeSystem, wbar: Array, hs: HiddenSequence,
     e2 = f_beg - hs.sig0 @ wbar.T
     # previous increment transported through one recurrent update; the
     # interval ratio multiplying it is 1 on a constant grid
-    transported = hs.transported
-    if substitution:
-        e3 = (transported - (g1 - hs.sig0)) @ wbar.T
-    else:
-        e3 = transported @ wbar.T - f_end + f_beg
+    e3 = (hs.transported - (g1 - hs.sig0)) @ wbar.T
     return _make_residuals(e1, e2, e3)
 
 
 def stage2_residuals(system: OdeSystem, w: Array, hs: HiddenSequence,
-                     ybar: Trajectory, tau: float,
-                     substitution: bool = True) -> StageResiduals:
+                     ybar: Trajectory, tau: float) -> StageResiduals:
     """All three second-stage residual families at the given weights."""
     y = stage2_readout(w, hs, ybar, tau).states
     f_end = system.rhs_many(y[1:])
     f_beg = system.rhs_many(ybar.states[:-1])
     g1 = hs.g1
     v = hs.res.v
+    prev_incr = hs.sig0 @ w.T
     e1 = f_end - g1 @ w.T
-    e2 = f_beg - hs.sig0 @ w.T
-    if substitution:
-        prev_incr = hs.sig0 @ w.T
-        e3 = tau * (hs.sig_dot * (prev_incr @ v.T)) @ w.T - (g1 - hs.sig0) @ w.T
-    else:
-        e3 = tau * (hs.sig_dot * (f_beg @ v.T)) @ w.T - f_end + f_beg
+    e2 = f_beg - prev_incr
+    e3 = tau * (hs.sig_dot * (prev_incr @ v.T)) @ w.T - (g1 - hs.sig0) @ w.T
     return _make_residuals(e1, e2, e3)
 
 
@@ -237,11 +223,11 @@ class StructuredJacobian:
     def dense(self) -> Array:
         """J as one array, assembled term by term in family order.
 
-        Terms add into a zeroed block, except that a product or +I term
-        that comes first writes its values directly. A product term is
-        formed as A * F and then scaled. This is the operation order of the
-        in-place assembly the tests compare against, so J is bit for bit
-        the same.
+        Terms add into a zeroed block, except that a +I term that comes
+        first writes its values directly. A product term is formed as A * F
+        in place and then scaled, so it must come first in its family, as
+        it does in both stages. This is the operation order of the in-place
+        assembly the tests compare against, so J is bit for bit the same.
         """
         d = self.dim
         jac = np.zeros((len(self.families), self.n_steps, d, d,
@@ -259,11 +245,10 @@ class StructuredJacobian:
                             diag[...] = feat
                         else:
                             diag += feat
-                elif fresh:
-                    _scaled_product(block, t.factor, feat, t.scale)
                 else:
-                    block += _scaled_product(np.empty_like(block), t.factor,
-                                             feat, t.scale)
+                    np.multiply(t.factor[:, :, :, None],
+                                feat[:, None, None, :], out=block)
+                    block *= t.scale
                 fresh = False
         return jac.reshape(self.shape)
 
@@ -320,14 +305,6 @@ class StructuredJacobian:
         return out.ravel()
 
 
-def _scaled_product(out: Array, factor: Array, feats: Array,
-                    scale: float) -> Array:
-    """out[k, i, a, b] = factor[k, i, a] * feats[k, b] * scale."""
-    np.multiply(factor[:, :, :, None], feats[:, None, None, :], out=out)
-    out *= scale
-    return out
-
-
 def _add_term_pair(block: Array, t: Term, s: Term, phi: Array,
                    weight: float) -> None:
     """block[k, i, l, j] += weight scale_t scale_s (A_t[k] A_s[l]^T)[i, j]
@@ -348,8 +325,7 @@ def _add_term_pair(block: Array, t: Term, s: Term, phi: Array,
 
 
 def stage1_operator(system: OdeSystem, hs: HiddenSequence, y_start: Array,
-                    tau: float, substitution: bool = True
-                    ) -> Callable[[Array], StructuredJacobian]:
+                    tau: float) -> Callable[[Array], StructuredJacobian]:
     """Stage-1 Jacobian operator as a function of wbar.
 
     The readout accumulates, so the derivative of the readout point at step
@@ -362,83 +338,64 @@ def stage1_operator(system: OdeSystem, hs: HiddenSequence, y_start: Array,
     n = hs.sig.shape[1]
     s_run = np.cumsum(hs.sig, axis=0)
     s_prev = np.vstack([np.zeros(n), s_run[:-1]])
-    rows = {"s_run": s_run, "s_prev": s_prev, "g1": hs.g1, "sig0": hs.sig0}
-    if substitution:
-        rows["linear"] = hs.transported - (hs.g1 - hs.sig0)
-    else:
-        rows["transported"] = hs.transported
-    grams = FeatureGrams(rows)
+    grams = FeatureGrams({"s_run": s_run, "s_prev": s_prev, "g1": hs.g1,
+                          "sig0": hs.sig0,
+                          "linear": hs.transported - (hs.g1 - hs.sig0)})
 
     def at(wbar: Array) -> StructuredJacobian:
         _check_w(wbar, hs)
         ybar = stage1_readout(wbar, hs, y_start, tau).states
         end = Term(system.jac_many(ybar[1:]), tau, "s_run")
         beg = Term(system.jac_many(ybar[:-1]), tau, "s_prev")
-        if substitution:
-            fam3 = (Term(None, 1.0, "linear"),)
-        else:
-            fam3 = (Term(None, 1.0, "transported"),
-                    Term(end.factor, -tau, "s_run"), beg)
         return StructuredJacobian(((end, Term(None, -1.0, "g1")),
-                                   (beg, Term(None, -1.0, "sig0")), fam3),
+                                   (beg, Term(None, -1.0, "sig0")),
+                                   (Term(None, 1.0, "linear"),)),
                                   grams, wbar.shape[0])
 
     return at
 
 
 def stage2_operator(system: OdeSystem, hs: HiddenSequence, ybar: Trajectory,
-                    tau: float, substitution: bool = True
-                    ) -> Callable[[Array], StructuredJacobian]:
+                    tau: float) -> Callable[[Array], StructuredJacobian]:
     """Stage-2 Jacobian operator as a function of w.
 
-    Each output point depends on a single step. The substituted family-3
-    residual is quadratic in w, so its derivative carries two product-rule
+    Each output point depends on a single step. The family-3 residual is
+    quadratic in w, so its derivative carries two product-rule
     contributions: one through the outer weight factor, on the component
     diagonal, and one through the transported previous increment. That
     diagonal feature changes with w; the other feature rows and their
     Grams are built once here.
     """
     v = hs.res.v
-    rows = {"sig": hs.sig, "g1": hs.g1, "sig0": hs.sig0}
-    if not substitution:
-        f_beg = system.rhs_many(ybar.states[:-1])
-        rows["linear"] = tau * (hs.sig_dot * (f_beg @ v.T))
-    grams = FeatureGrams(rows)
+    grams = FeatureGrams({"sig": hs.sig, "g1": hs.g1, "sig0": hs.sig0})
 
     def at(w: Array) -> StructuredJacobian:
         _check_w(w, hs)
         y = stage2_readout(w, hs, ybar, tau).states
         end = Term(system.jac_many(y[1:]), tau, "sig")
-        extra = {}
-        if substitution:
-            prev_incr = hs.sig0 @ w.T
-            carried = hs.sig_dot * (prev_incr @ v.T)
-            inner = np.einsum("im,km,ma->kia", w, hs.sig_dot, v)
-            extra["linear"] = tau * carried - (hs.g1 - hs.sig0)
-            fam3 = (Term(inner, tau, "sig0"), Term(None, 1.0, "linear"))
-        else:
-            fam3 = (Term(end.factor, -tau, "sig"), Term(None, 1.0, "linear"))
+        carried = hs.sig_dot * ((hs.sig0 @ w.T) @ v.T)
+        inner = np.einsum("im,km,ma->kia", w, hs.sig_dot, v)
+        linear = tau * carried - (hs.g1 - hs.sig0)
         return StructuredJacobian(((end, Term(None, -1.0, "g1")),
-                                   (Term(None, -1.0, "sig0"),), fam3),
-                                  grams, w.shape[0], extra)
+                                   (Term(None, -1.0, "sig0"),),
+                                   (Term(inner, tau, "sig0"),
+                                    Term(None, 1.0, "linear"))),
+                                  grams, w.shape[0], {"linear": linear})
 
     return at
 
 
 def stage1_jacobian(system: OdeSystem, wbar: Array, hs: HiddenSequence,
-                    y_start: Array, tau: float,
-                    substitution: bool = True) -> ResidualJacobian:
+                    y_start: Array, tau: float) -> ResidualJacobian:
     """Dense derivative of the stage-1 residuals with respect to wbar."""
-    op = stage1_operator(system, hs, y_start, tau, substitution)(wbar)
-    return ResidualJacobian(op.dense())
+    return ResidualJacobian(
+        stage1_operator(system, hs, y_start, tau)(wbar).dense())
 
 
 def stage2_jacobian(system: OdeSystem, w: Array, hs: HiddenSequence,
-                    ybar: Trajectory, tau: float,
-                    substitution: bool = True) -> ResidualJacobian:
+                    ybar: Trajectory, tau: float) -> ResidualJacobian:
     """Dense derivative of the stage-2 residuals with respect to w."""
-    op = stage2_operator(system, hs, ybar, tau, substitution)(w)
-    return ResidualJacobian(op.dense())
+    return ResidualJacobian(stage2_operator(system, hs, ybar, tau)(w).dense())
 
 
 def fd_jacobian(residual_fn, w: Array, step: float = 1e-6) -> ResidualJacobian:

@@ -17,7 +17,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Tuple
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import (DegenerateMatrix, DimensionMismatch, LengthMismatch,
                      NonFinite, SingularSystem, TrialDiverged)
 from .problems import OdeSystem, get_system
 from .regression import GnConfig, IterationRecord
-from .reservoir import Reservoir, ReservoirParams, build, drive
+from .reservoir import HiddenSequence, Reservoir, ReservoirParams, build, drive
 from .trial import Trajectory
 
 Array = np.ndarray
@@ -51,7 +51,6 @@ class RunConfig:
     reservoir: ReservoirParams
     stage1: GnConfig
     stage2: GnConfig
-    e3_substitution: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "y0", tuple(float(x) for x in self.y0))
@@ -66,6 +65,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """Config from its JSON form; a key the program does not read is an
+        error, at the top level as in every sub-object."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(
             problem=str(d["problem"]),
             y0=tuple(float(x) for x in d["y0"]),
@@ -76,7 +80,6 @@ class RunConfig:
             reservoir=ReservoirParams(**d["reservoir"]),
             stage1=_gn_from_dict(d["stage1"]),
             stage2=_gn_from_dict(d["stage2"]),
-            e3_substitution=bool(d.get("e3_substitution", True)),
         )
 
     def to_dict(self) -> dict:
@@ -88,7 +91,6 @@ class RunConfig:
             "n_points": self.n_points,
             "n_washout": self.n_washout,
             "refine_factor": self.refine_factor,
-            "e3_substitution": self.e3_substitution,
             "reservoir": {
                 "n_neurons": r.n_neurons,
                 "connectivity": r.connectivity,
@@ -114,7 +116,6 @@ def _gn_to_dict(cfg: GnConfig) -> dict:
         "lambda": cfg.lam,
         "max_iters": cfg.max_iters,
         "rel_loss_tol": cfg.rel_loss_tol,
-        "backtracking": cfg.backtracking,
         "backtrack_max_halvings": cfg.backtrack_max_halvings,
     }
 
@@ -217,52 +218,64 @@ def evaluate(candidate: Trajectory, reference: Trajectory) -> Metrics:
     )
 
 
-def train(cfg: RunConfig) -> Tuple[TrainedModel, RunReport]:
-    """Run the full two-pass scheme and score it against the reference."""
+def integrate_trial(cfg: RunConfig
+                    ) -> Tuple[OdeSystem, Trajectory, Trajectory, Trajectory]:
+    """The problem's system, its trial solution over washout and kept span,
+    and that trial split into washout inputs and the n_points + 1 kept
+    points. A trial that leaves the finite range raises TrialDiverged."""
     system = get_system(cfg.problem)
     if len(cfg.y0) != system.dim:
         raise DimensionMismatch(
             f"{cfg.problem} has dimension {system.dim}, y0 has {len(cfg.y0)}"
         )
-    timings: Dict[str, float] = {}
-    t_start = time.perf_counter()
-
-    t = time.perf_counter()
-    n_total = cfg.n_washout + cfg.n_points
     try:
         full_trial = trial_mod.refine_downsample(
-            system, cfg.y0, cfg.tau, n_total, cfg.refine_factor)
+            system, cfg.y0, cfg.tau, cfg.n_washout + cfg.n_points,
+            cfg.refine_factor)
     except NonFinite as exc:
         raise TrialDiverged(f"trial integration diverged: {exc}") from exc
     washout, kept = trial_mod.washout_crop(full_trial, cfg.n_washout,
                                            cfg.n_points + 1)
+    return system, full_trial, washout, kept
+
+
+def drive_past_washout(res: Reservoir, washout: Trajectory,
+                       y: Trajectory) -> HiddenSequence:
+    """Drive the reservoir over the washout inputs and then y[:-1], and drop
+    the washout steps. The last point of y is never an input; it only
+    anchors targets."""
+    inputs = Trajectory(t0=washout.t0, tau=y.tau,
+                        states=np.vstack([washout.states, y.states[:-1]]))
+    return drive(res, inputs).drop_leading(washout.n_points)
+
+
+def train(cfg: RunConfig) -> Tuple[TrainedModel, RunReport]:
+    """Run the full two-pass scheme and score it against the reference."""
+    timings: Dict[str, float] = {}
+    t_start = time.perf_counter()
+
+    t = time.perf_counter()
+    system, full_trial, washout, kept = integrate_trial(cfg)
     anchor = kept.states[0]
     timings["trial"] = time.perf_counter() - t
 
     t = time.perf_counter()
     with _phase("stage1"):
         res = build(cfg.reservoir, system.dim)
-        # the last trial point is never an input; it only anchors targets
-        inputs1 = Trajectory(t0=full_trial.t0, tau=cfg.tau,
-                             states=full_trial.states[:-1])
-        hs1 = drive(res, inputs1).drop_leading(cfg.n_washout)
+        hs1 = drive_past_washout(res, washout, kept)
         w0 = regression.ridge_initial_guess(hs1, kept, cfg.tau, cfg.stage1.lam)
 
         def res1(w: Array) -> Array:
             return constraints.stage1_residuals(
-                system, w, hs1, anchor, cfg.tau,
-                substitution=cfg.e3_substitution).stacked()
+                system, w, hs1, anchor, cfg.tau).stacked()
 
         e_init = res1(w0)
         stage1_initial_loss = float(e_init @ e_init)
         w1, hist1 = regression.solve_stage(
-            res1, constraints.stage1_operator(
-                system, hs1, anchor, cfg.tau,
-                substitution=cfg.e3_substitution),
+            res1, constraints.stage1_operator(system, hs1, anchor, cfg.tau),
             w0, cfg.stage1)
         ybar = constraints.stage1_readout(w1, hs1, anchor, cfg.tau, t0=kept.t0)
-        sr1 = constraints.stage1_residuals(system, w1, hs1, anchor, cfg.tau,
-                                           substitution=cfg.e3_substitution)
+        sr1 = constraints.stage1_residuals(system, w1, hs1, anchor, cfg.tau)
         # stage 2 drives its own sequence; free this one and the features
         # cached on it before stage 2 allocates
         del hs1, res1
@@ -271,26 +284,19 @@ def train(cfg: RunConfig) -> Tuple[TrainedModel, RunReport]:
     t = time.perf_counter()
     with _phase("stage2"):
         # hidden state is conditioned by the washout before ybar takes over
-        inputs2 = Trajectory(
-            t0=full_trial.t0, tau=cfg.tau,
-            states=np.vstack([washout.states, ybar.states[:-1]]))
-        hs2 = drive(res, inputs2).drop_leading(cfg.n_washout)
+        hs2 = drive_past_washout(res, washout, ybar)
 
         def res2(w: Array) -> Array:
             return constraints.stage2_residuals(
-                system, w, hs2, ybar, cfg.tau,
-                substitution=cfg.e3_substitution).stacked()
+                system, w, hs2, ybar, cfg.tau).stacked()
 
         e_init = res2(w1)
         stage2_initial_loss = float(e_init @ e_init)
         w2, hist2 = regression.solve_stage(
-            res2, constraints.stage2_operator(
-                system, hs2, ybar, cfg.tau,
-                substitution=cfg.e3_substitution),
+            res2, constraints.stage2_operator(system, hs2, ybar, cfg.tau),
             w1, cfg.stage2)
         y_final = constraints.stage2_readout(w2, hs2, ybar, cfg.tau)
-        sr2 = constraints.stage2_residuals(system, w2, hs2, ybar, cfg.tau,
-                                           substitution=cfg.e3_substitution)
+        sr2 = constraints.stage2_residuals(system, w2, hs2, ybar, cfg.tau)
     timings["stage2"] = time.perf_counter() - t
 
     t = time.perf_counter()

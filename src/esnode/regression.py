@@ -2,8 +2,8 @@
 
 The readout weights solve a nonlinear least-squares problem over the stacked
 constraint residuals. Each iteration solves a damped linear least-squares
-problem for a descent step, optionally halving it until the loss stops
-increasing, and the iteration ends when the relative loss change falls below
+problem for a descent step, halving it until the loss stops increasing,
+and the iteration ends when the relative loss change falls below
 tolerance. The initial guess replicates the trial increments by ridge
 regression on the activation features.
 
@@ -44,7 +44,6 @@ class GnConfig:
     lam: float
     max_iters: int
     rel_loss_tol: float = 1e-5
-    backtracking: bool = True
     backtrack_max_halvings: int = 20
 
     def __post_init__(self):
@@ -169,9 +168,10 @@ def solve_stage(residual_fn: Callable[[Array], Array],
     """Iterate damped Gauss-Newton from w0 and return the best weights seen.
 
     residual_fn maps weights to the stacked residual vector (three equal
-    family blocks); jacobian_fn returns the matching Jacobian. With
-    backtracking on, a step is halved until the loss stops increasing; if no
-    halving helps the step is rejected, which reads as converged.
+    family blocks); jacobian_fn returns the matching Jacobian. A step is
+    halved, at most cfg.backtrack_max_halvings times, until the loss stops
+    increasing; if no halving helps the step is rejected, which reads as
+    converged.
     """
     w = w0.copy()
     e = residual_fn(w)
@@ -187,23 +187,19 @@ def solve_stage(residual_fn: Callable[[Array], Array],
         w_new = w + delta
         e_new = residual_fn(w_new)
         loss_new = float(e_new @ e_new)
-        if cfg.backtracking:
-            while (not np.isfinite(loss_new) or loss_new > loss) \
-                    and halvings < cfg.backtrack_max_halvings:
-                alpha *= 0.5
-                halvings += 1
-                w_new = w + alpha * delta
-                e_new = residual_fn(w_new)
-                loss_new = float(e_new @ e_new)
-            if not np.isfinite(loss_new) or loss_new > loss:
-                # no step length helped; keep w and report a stall
-                history.append(IterationRecord(
-                    iter=it, loss=loss, loss_by_family=_family_losses(e),
-                    rel_step=0.0, rel_loss_change=0.0,
-                    halvings=halvings))
-                break
-        elif not np.isfinite(loss_new):
-            raise NonFinite(f"loss became non-finite at iteration {it}")
+        while (not np.isfinite(loss_new) or loss_new > loss) \
+                and halvings < cfg.backtrack_max_halvings:
+            alpha *= 0.5
+            halvings += 1
+            w_new = w + alpha * delta
+            e_new = residual_fn(w_new)
+            loss_new = float(e_new @ e_new)
+        if not np.isfinite(loss_new) or loss_new > loss:
+            # no step length helped; keep w and report a stall
+            history.append(IterationRecord(
+                iter=it, loss=loss, loss_by_family=_family_losses(e),
+                rel_step=0.0, rel_loss_change=0.0, halvings=halvings))
+            break
         w_norm = np.linalg.norm(w)
         rel_step = float(np.linalg.norm(alpha * delta) / w_norm) \
             if w_norm > 0 else float(np.linalg.norm(alpha * delta))

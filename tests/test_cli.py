@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, exit codes, artifacts."""
 import json
+from importlib import resources
 
 import pytest
 
@@ -43,11 +44,11 @@ class TestRun:
         out = tmp_path / "out"
         code = cli.main(["run", "--config", config_path, "--out", str(out),
                          "--set", "reservoir.seed=5",
-                         "--set", "e3_substitution=false"])
+                         "--set", "stage2.max_iters=2"])
         assert code == 0
         data = json.loads((out / "report.json").read_text())
         assert data["seed"] == 5
-        assert data["config.e3_substitution"] is False
+        assert data["config.stage2.max_iters"] == 2
 
     def test_set_limits_iterations(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -115,6 +116,18 @@ class TestErrorHandling:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["e3_substitution=false",
+                                      "stage1.backtracking=true",
+                                      "n_point=5"])
+    def test_unknown_config_key(self, config_path, tmp_path, capsys, spec):
+        out = tmp_path / "out"
+        code = cli.main(["run", "--config", config_path, "--out", str(out),
+                         "--set", spec])
+        assert code == 1
+        key = spec.partition("=")[0].split(".")[-1]
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_subcommand(self, capsys):
         assert cli.main([]) == 1
 
@@ -158,6 +171,20 @@ class TestGradcheck:
         assert "stage1 jacobian max relative error" in out
         assert "stage2 jacobian max relative error" in out
         assert "gradcheck PASS" in out
+
+    @pytest.mark.parametrize("name", ["harmonic", "vdp", "lorenz"])
+    def test_passes_on_shipped_config(self, name, capsys):
+        # gradcheck shrinks each to 10 points and 20 neurons
+        path = resources.files("esnode").joinpath(f"configs/{name}.json")
+        assert cli.main(["gradcheck", "--config", str(path)]) == 0
+        assert "gradcheck PASS" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", problem="lorenz",
+                            y0=[1.0, 1.0, 1.0], tau=5.0, refine_factor=1)
+        assert cli.main(["gradcheck", "--config", path]) == 2
+        assert "trial integration diverged" in capsys.readouterr().err
 
 
 class TestReport:

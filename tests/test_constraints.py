@@ -145,19 +145,6 @@ class TestStage1Residuals:
             np.testing.assert_allclose(term[k], (gp - gm) / (2 * eps),
                                        atol=1e-6)
 
-    def test_direct_form_recomputed(self):
-        system, res, hs, kept = make_instance(seed=7)
-        rng = np.random.default_rng(8)
-        wbar = rng.standard_normal((2, 10))
-        anchor = kept.states[0]
-        sr = stage1_residuals(system, wbar, hs, anchor, 0.05,
-                              substitution=False)
-        ybar = stage1_readout(wbar, hs, anchor, 0.05).states
-        transported = (hs.sig_dot * (res.omega @ hs.sig0.T).T) @ wbar.T
-        expect = transported - system.rhs_many(ybar[1:]) \
-            + system.rhs_many(ybar[:-1])
-        np.testing.assert_allclose(sr.e3, expect, atol=1e-14)
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_rejected(self):
         system, _, hs, kept = make_instance()
@@ -215,16 +202,6 @@ class TestStage2Residuals:
         doubled = stage2_residuals(system, 2 * wbar, hs2, ybar, 0.05).e3
         np.testing.assert_allclose(doubled, 4 * quad - 2 * lin, atol=1e-12)
 
-    def test_direct_form_recomputed(self):
-        system, res, hs2, ybar, wbar = self.make_second_stage(seed=4)
-        sr = stage2_residuals(system, wbar, hs2, ybar, 0.05,
-                              substitution=False)
-        y = stage2_readout(wbar, hs2, ybar, 0.05).states
-        f_beg = system.rhs_many(ybar.states[:-1])
-        carried = 0.05 * (hs2.sig_dot * (f_beg @ res.v.T)) @ wbar.T
-        expect = carried - system.rhs_many(y[1:]) + f_beg
-        np.testing.assert_allclose(sr.e3, expect, atol=1e-14)
-
 
 class TestInvarianceFdOracle:
     """Family 3 must equal the finite-difference directional derivative."""
@@ -261,47 +238,64 @@ class TestInvarianceFdOracle:
             np.testing.assert_allclose(sr.e3[k], expect, atol=1e-6)
 
 
-def stage1_fns(system, hs, anchor, tau, substitution=True):
+def evaluated(at, w, fresh=True):
+    """at(w) for a stage operator at. Unless fresh, at has first been
+    evaluated at other weights and its dense J and Gram formed there, as in
+    every Gauss-Newton iteration after a stage's first."""
+    if not fresh:
+        before = at(2.0 * w + 0.1)
+        before.dense()
+        before.gram()
+    return at(w)
+
+
+def stage1_fns(system, hs, anchor, tau, fresh=True):
+    at = stage1_operator(system, hs, anchor, tau)
+
     def res_fn(w):
-        return stage1_residuals(system, w, hs, anchor, tau,
-                                substitution=substitution).stacked()
+        return stage1_residuals(system, w, hs, anchor, tau).stacked()
 
     def jac_fn(w):
-        return stage1_jacobian(system, w, hs, anchor, tau,
-                               substitution=substitution)
+        if fresh:
+            return stage1_jacobian(system, w, hs, anchor, tau)
+        return ResidualJacobian(evaluated(at, w, fresh=False).dense())
     return res_fn, jac_fn
 
 
-def stage2_fns(system, hs, ybar, tau, substitution=True):
+def stage2_fns(system, hs, ybar, tau, fresh=True):
+    at = stage2_operator(system, hs, ybar, tau)
+
     def res_fn(w):
-        return stage2_residuals(system, w, hs, ybar, tau,
-                                substitution=substitution).stacked()
+        return stage2_residuals(system, w, hs, ybar, tau).stacked()
 
     def jac_fn(w):
-        return stage2_jacobian(system, w, hs, ybar, tau,
-                               substitution=substitution)
+        if fresh:
+            return stage2_jacobian(system, w, hs, ybar, tau)
+        return ResidualJacobian(evaluated(at, w, fresh=False).dense())
     return res_fn, jac_fn
 
 
 class TestJacobians:
+    """Analytic against finite-difference Jacobians; fresh=False takes J
+    from an operator already evaluated at other weights."""
+
     @pytest.mark.parametrize("name", ["harmonic", "vdp"])
-    @pytest.mark.parametrize("substitution", [True, False])
-    def test_stage1_matches_fd(self, name, substitution):
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_stage1_matches_fd(self, name, fresh):
         system, _, hs, kept = make_instance(name=name, n_points=5)
         rng = np.random.default_rng(20)
         w = 0.3 * rng.standard_normal((2, 10))
-        res_fn, jac_fn = stage1_fns(system, hs, kept.states[0], 0.05,
-                                    substitution)
+        res_fn, jac_fn = stage1_fns(system, hs, kept.states[0], 0.05, fresh)
         j_an = jac_fn(w).j
         j_fd = fd_jacobian(res_fn, w).j
         assert np.abs(j_an - j_fd).max() / np.abs(j_fd).max() < 1e-5
 
     @pytest.mark.parametrize("name", ["harmonic", "vdp"])
-    @pytest.mark.parametrize("substitution", [True, False])
-    def test_stage2_matches_fd(self, name, substitution):
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_stage2_matches_fd(self, name, fresh):
         helper = TestStage2Residuals()
         system, _, hs2, ybar, wbar = helper.make_second_stage(name=name)
-        res_fn, jac_fn = stage2_fns(system, hs2, ybar, 0.05, substitution)
+        res_fn, jac_fn = stage2_fns(system, hs2, ybar, 0.05, fresh)
         j_an = jac_fn(wbar).j
         j_fd = fd_jacobian(res_fn, wbar).j
         assert np.abs(j_an - j_fd).max() / np.abs(j_fd).max() < 1e-5
@@ -357,7 +351,7 @@ class TestJacobians:
         np.testing.assert_array_equal(j[2 * rows:], 0.0)
 
 
-def einsum_stage1_jacobian(system, wbar, hs, y_start, tau, substitution):
+def einsum_stage1_jacobian(system, wbar, hs, y_start, tau):
     """Stage-1 Jacobian as 4-D einsum terms with an identity factor."""
     n_steps, n = hs.sig.shape
     d = wbar.shape[0]
@@ -373,19 +367,14 @@ def einsum_stage1_jacobian(system, wbar, hs, y_start, tau, substitution):
     j2 = tau * np.einsum("kia,kb->kiab", jf_beg, s_prev) \
         - np.einsum("ia,kb->kiab", eye, hs.sig0)
     transported = hs.sig_dot * (hs.res.omega @ hs.sig0.T).T
-    if substitution:
-        j3 = np.einsum("ia,kb->kiab", eye, transported - (g1 - hs.sig0))
-    else:
-        j3 = np.einsum("ia,kb->kiab", eye, transported) \
-            - tau * np.einsum("kia,kb->kiab", jf_end, s_run) \
-            + tau * np.einsum("kia,kb->kiab", jf_beg, s_prev)
+    j3 = np.einsum("ia,kb->kiab", eye, transported - (g1 - hs.sig0))
     rows = n_steps * d
     return np.concatenate([
         j1.reshape(rows, d * n), j2.reshape(rows, d * n), j3.reshape(rows, d * n)
     ])
 
 
-def einsum_stage2_jacobian(system, w, hs, ybar, tau, substitution):
+def einsum_stage2_jacobian(system, w, hs, ybar, tau):
     """Stage-2 Jacobian as 4-D einsum terms with an identity factor."""
     n_steps, n = hs.sig.shape
     d = w.shape[0]
@@ -397,17 +386,11 @@ def einsum_stage2_jacobian(system, w, hs, ybar, tau, substitution):
     j1 = tau * np.einsum("kia,kb->kiab", jf_end, hs.sig) \
         - np.einsum("ia,kb->kiab", eye, g1)
     j2 = -np.einsum("ia,kb->kiab", eye, hs.sig0)
-    if substitution:
-        prev_incr = hs.sig0 @ w.T
-        carried = hs.sig_dot * (prev_incr @ v.T)
-        inner = np.einsum("im,km,ma->kia", w, hs.sig_dot, v)
-        j3 = np.einsum("ia,kb->kiab", eye, tau * carried - (g1 - hs.sig0)) \
-            + tau * np.einsum("kia,kb->kiab", inner, hs.sig0)
-    else:
-        f_beg = system.rhs_many(ybar.states[:-1])
-        carried = hs.sig_dot * (f_beg @ v.T)
-        j3 = tau * np.einsum("ia,kb->kiab", eye, carried) \
-            - tau * np.einsum("kia,kb->kiab", jf_end, hs.sig)
+    prev_incr = hs.sig0 @ w.T
+    carried = hs.sig_dot * (prev_incr @ v.T)
+    inner = np.einsum("im,km,ma->kia", w, hs.sig_dot, v)
+    j3 = np.einsum("ia,kb->kiab", eye, tau * carried - (g1 - hs.sig0)) \
+        + tau * np.einsum("kia,kb->kiab", inner, hs.sig0)
     rows = n_steps * d
     return np.concatenate([
         j1.reshape(rows, d * n), j2.reshape(rows, d * n), j3.reshape(rows, d * n)
@@ -418,71 +401,72 @@ class TestJacobianAssemblyOracle:
     """The in-place assembly gives the einsum Jacobians' values exactly.
 
     Signed zeros may differ: the einsum form subtracts 0 * g1 off the
-    diagonal, the in-place form leaves an untouched zero.
+    diagonal, the in-place form leaves an untouched zero. fresh=False takes
+    J from an operator already evaluated at other weights.
     """
 
     @pytest.mark.parametrize("name", ["harmonic", "vdp", "lorenz"])
-    @pytest.mark.parametrize("substitution", [True, False])
+    @pytest.mark.parametrize("fresh", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_stage1(self, name, substitution, seed):
+    def test_stage1(self, name, fresh, seed):
         system, _, hs, kept = make_instance(name=name, seed=seed, n_points=7)
         rng = np.random.default_rng(seed + 300)
         w = 0.5 * rng.standard_normal((system.dim, 10))
         tau = 0.05 * (1 + seed)
-        got = stage1_jacobian(system, w, hs, kept.states[0], tau,
-                              substitution=substitution).j
-        expect = einsum_stage1_jacobian(system, w, hs, kept.states[0], tau,
-                                        substitution)
+        _, jac_fn = stage1_fns(system, hs, kept.states[0], tau, fresh)
+        got = jac_fn(w).j
+        expect = einsum_stage1_jacobian(system, w, hs, kept.states[0], tau)
         assert got.shape == expect.shape
         assert np.array_equal(got, expect)
 
     @pytest.mark.parametrize("name", ["harmonic", "vdp", "lorenz"])
-    @pytest.mark.parametrize("substitution", [True, False])
+    @pytest.mark.parametrize("fresh", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_stage2(self, name, substitution, seed):
+    def test_stage2(self, name, fresh, seed):
         helper = TestStage2Residuals()
         system, _, hs2, ybar, wbar = helper.make_second_stage(seed=seed,
                                                               name=name)
         rng = np.random.default_rng(seed + 400)
         w = wbar + 0.5 * rng.standard_normal(wbar.shape)
-        got = stage2_jacobian(system, w, hs2, ybar, 0.05,
-                              substitution=substitution).j
-        expect = einsum_stage2_jacobian(system, w, hs2, ybar, 0.05,
-                                        substitution)
+        _, jac_fn = stage2_fns(system, hs2, ybar, 0.05, fresh)
+        got = jac_fn(w).j
+        expect = einsum_stage2_jacobian(system, w, hs2, ybar, 0.05)
         assert got.shape == expect.shape
         assert np.array_equal(got, expect)
 
 
-def wide_operator(stage, name="lorenz", substitution=True, seed=0,
+def wide_operator(stage, name="lorenz", fresh=True, seed=0,
                   n_neurons=40, n_points=6, tau=0.05):
     """A stage's structured Jacobian at random weights on an instance with
     more weight columns than residual rows (N d > 3 n d), plus a generator
-    for test vectors."""
+    for test vectors. Unless fresh, the stage operator has first been
+    evaluated at other weights."""
     system, res, hs, kept = make_instance(name=name, seed=seed,
                                           n_neurons=n_neurons,
                                           n_points=n_points, tau=tau)
     rng = np.random.default_rng(seed + 500)
     w = 0.3 * rng.standard_normal((system.dim, n_neurons))
     if stage == 1:
-        op = stage1_operator(system, hs, kept.states[0], tau,
-                             substitution)(w)
+        op = evaluated(stage1_operator(system, hs, kept.states[0], tau), w,
+                       fresh)
     else:
         ybar = stage1_readout(w, hs, kept.states[0], tau, t0=kept.t0)
         hs2 = drive(res, Trajectory(t0=0.0, tau=tau, states=ybar.states[:-1]))
         w2 = w + 0.3 * rng.standard_normal(w.shape)
-        op = stage2_operator(system, hs2, ybar, tau, substitution)(w2)
+        op = evaluated(stage2_operator(system, hs2, ybar, tau), w2, fresh)
     return op, rng
 
 
 class TestStructuredJacobian:
-    """Gram and products of the structured operator against its dense J."""
+    """Gram and products of the structured operator against its dense J;
+    fresh=False reuses an operator already evaluated at other weights."""
 
     @pytest.mark.parametrize("name", ["harmonic", "vdp", "lorenz"])
     @pytest.mark.parametrize("stage", [1, 2])
-    @pytest.mark.parametrize("substitution", [True, False])
+    @pytest.mark.parametrize("fresh", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_products_match_dense(self, name, stage, substitution, seed):
-        op, rng = wide_operator(stage, name, substitution, seed)
+    def test_products_match_dense(self, name, stage, fresh, seed):
+        op, rng = wide_operator(stage, name, fresh, seed)
         j = op.dense()
         assert j.shape == op.shape
         assert j.shape[1] > j.shape[0]

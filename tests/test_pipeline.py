@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ class TestRunConfig:
         cfg = smoke_config(y0=[1, 0])
         assert cfg.y0 == (1.0, 0.0)
         assert isinstance(cfg.y0, tuple)
+
+    @pytest.mark.parametrize("name", ["harmonic", "vdp", "lorenz"])
+    def test_shipped_config_round_trips(self, name):
+        # a shipped config holds no key the program ignores or drops
+        text = resources.files("esnode").joinpath(
+            f"configs/{name}.json").read_text()
+        raw = json.loads(text)
+        assert RunConfig.from_dict(raw).to_dict() == raw
 
 
 class TestEvaluate:
@@ -206,6 +215,18 @@ class TestTrain:
         np.testing.assert_array_equal(model.y_final.states,
                                       model2.y_final.states)
         assert report_flat_dict(report) == report_flat_dict(report2)
+
+    def test_drive_past_washout_matches_driving_the_whole_trial(self):
+        cfg = smoke_config()
+        system, full, washout, kept = pipeline.integrate_trial(cfg)
+        res = pipeline.build(cfg.reservoir, system.dim)
+        got = pipeline.drive_past_washout(res, washout, kept)
+        whole = pipeline.drive(res, Trajectory(
+            t0=full.t0, tau=cfg.tau, states=full.states[:-1]))
+        expect = whole.drop_leading(cfg.n_washout)
+        for field in ("h", "z", "z0", "sig", "sig_dot", "sig0"):
+            np.testing.assert_array_equal(getattr(got, field),
+                                          getattr(expect, field))
 
     def test_washout_inputs_are_trial_prefix(self, smoke_run):
         cfg, model, report = smoke_run

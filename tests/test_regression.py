@@ -21,7 +21,6 @@ class TestGnConfig:
     def test_defaults(self):
         cfg = GnConfig(lam=1e-7, max_iters=10)
         assert cfg.rel_loss_tol == 1e-5
-        assert cfg.backtracking is True
         assert cfg.backtrack_max_halvings == 20
 
     @pytest.mark.parametrize("kwargs", [
@@ -321,20 +320,6 @@ class TestSolveStage:
         w, history = solve_stage(res_fn, jac_fn, w0, cfg)
         assert history[0].halvings >= 1
         assert history[0].loss < np.arctan(3.0) ** 2
-
-    def test_backtracking_disabled_takes_full_step(self):
-        def res_fn(w):
-            return np.array([np.arctan(w[0, 0]), 0.0, 0.0])
-
-        def jac_fn(w):
-            return ResidualJacobian(
-                j=np.array([[1.0 / (1.0 + w[0, 0] ** 2)], [0.0], [0.0]]))
-
-        w0 = np.array([[3.0]])
-        cfg = GnConfig(lam=1e-12, max_iters=1, backtracking=False)
-        w, history = solve_stage(res_fn, jac_fn, w0, cfg)
-        assert history[0].halvings == 0
-        assert history[0].loss > np.arctan(3.0) ** 2  # overshoot accepted
 
     def test_rejected_step_reports_stall(self):
         # a discontinuous residual no step can improve: every candidate is
