@@ -128,10 +128,9 @@ def _gradcheck_errors(cfg: RunConfig) -> tuple:
              hs1, anchor),
             (constraints.stage2_residuals, constraints.stage2_jacobian,
              hs2, ybar)):
-        j_an = jacobian(system, w, hs, start, cfg.tau).j
+        j_an = jacobian(system, w, hs, start, cfg.tau)
         j_fd = constraints.fd_jacobian(
-            lambda wx: residuals(system, wx, hs, start, cfg.tau).stacked(),
-            w).j
+            lambda wx: residuals(system, wx, hs, start, cfg.tau).stacked(), w)
         errors.append(float(np.abs(j_an - j_fd).max() / np.abs(j_fd).max()))
     return tuple(errors)
 

@@ -24,7 +24,8 @@ feature, are fixed for the whole stage. stage1_operator and
 stage2_operator build those rows once per stage and return
 StructuredJacobian operators. A wide solve builds the dual Gram J J^T from
 the n_steps x n_steps Grams of the feature rows and never forms J; dense()
-assembles J for tall solves, gradient checks and tests.
+assembles J as a plain array for tall solves, and stage1_jacobian,
+stage2_jacobian and fd_jacobian return arrays for gradient checks and tests.
 """
 from __future__ import annotations
 
@@ -44,44 +45,15 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class StageResiduals:
-    """Residual blocks per family plus the squared-error losses."""
+    """Residual blocks per family, each (n_steps, d)."""
 
     e1: Array
     e2: Array
     e3: Array
-    loss_by_family: tuple
-    loss_total: float
 
     def stacked(self) -> Array:
         """Residuals as one vector, family-major, step-then-component within."""
         return np.concatenate([self.e1.ravel(), self.e2.ravel(), self.e3.ravel()])
-
-
-@dataclass(frozen=True)
-class ResidualJacobian:
-    """Stacked residual derivative with respect to vec(w), row-major columns.
-
-    It holds J as one array and offers StructuredJacobian's operator
-    methods, so a solver takes either.
-    """
-
-    j: Array
-
-    @property
-    def shape(self) -> tuple:
-        return self.j.shape
-
-    def dense(self) -> Array:
-        return self.j
-
-    def gram(self) -> Array:
-        return self.j @ self.j.T
-
-    def matvec(self, x: Array) -> Array:
-        return self.j @ x
-
-    def rmatvec(self, y: Array) -> Array:
-        return self.j.T @ y
 
 
 def _check_w(w: Array, hs: HiddenSequence) -> None:
@@ -92,11 +64,13 @@ def _check_w(w: Array, hs: HiddenSequence) -> None:
 
 
 def _make_residuals(e1: Array, e2: Array, e3: Array) -> StageResiduals:
-    fam = (float((e1 ** 2).sum()), float((e2 ** 2).sum()), float((e3 ** 2).sum()))
-    total = fam[0] + fam[1] + fam[2]
+    # a sum of squares is non-finite on a nan or inf entry, and also when a
+    # finite entry or the sum overflows
+    total = (float((e1 ** 2).sum()) + float((e2 ** 2).sum())
+             + float((e3 ** 2).sum()))
     if not np.isfinite(total):
         raise NonFinite("constraint residuals contain non-finite entries")
-    return StageResiduals(e1=e1, e2=e2, e3=e3, loss_by_family=fam, loss_total=total)
+    return StageResiduals(e1=e1, e2=e2, e3=e3)
 
 
 def stage1_readout(wbar: Array, hs: HiddenSequence, y_start: Array,
@@ -386,19 +360,20 @@ def stage2_operator(system: OdeSystem, hs: HiddenSequence, ybar: Trajectory,
 
 
 def stage1_jacobian(system: OdeSystem, wbar: Array, hs: HiddenSequence,
-                    y_start: Array, tau: float) -> ResidualJacobian:
-    """Dense derivative of the stage-1 residuals with respect to wbar."""
-    return ResidualJacobian(
-        stage1_operator(system, hs, y_start, tau)(wbar).dense())
+                    y_start: Array, tau: float) -> Array:
+    """Dense derivative of the stage-1 residuals with respect to vec(wbar),
+    row-major columns."""
+    return stage1_operator(system, hs, y_start, tau)(wbar).dense()
 
 
 def stage2_jacobian(system: OdeSystem, w: Array, hs: HiddenSequence,
-                    ybar: Trajectory, tau: float) -> ResidualJacobian:
-    """Dense derivative of the stage-2 residuals with respect to w."""
-    return ResidualJacobian(stage2_operator(system, hs, ybar, tau)(w).dense())
+                    ybar: Trajectory, tau: float) -> Array:
+    """Dense derivative of the stage-2 residuals with respect to vec(w),
+    row-major columns."""
+    return stage2_operator(system, hs, ybar, tau)(w).dense()
 
 
-def fd_jacobian(residual_fn, w: Array, step: float = 1e-6) -> ResidualJacobian:
+def fd_jacobian(residual_fn, w: Array, step: float = 1e-6) -> Array:
     """Central-difference Jacobian of a stacked residual function.
 
     residual_fn maps a weight matrix shaped like w to a 1-D residual vector;
@@ -416,7 +391,7 @@ def fd_jacobian(residual_fn, w: Array, step: float = 1e-6) -> ResidualJacobian:
         rp = residual_fn(wp.reshape(w.shape))
         rm = residual_fn(wm.reshape(w.shape))
         cols.append((rp - rm) / (2.0 * step))
-    return ResidualJacobian(j=np.stack(cols, axis=1))
+    return np.stack(cols, axis=1)
 
 
 def residuals_to_csv(sr: StageResiduals) -> str:

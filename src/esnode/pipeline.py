@@ -67,9 +67,7 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         """Config from its JSON form; a key the program does not read is an
         error, at the top level as in every sub-object."""
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        _reject_unknown(d, {f.name for f in fields(cls)})
         return cls(
             problem=str(d["problem"]),
             y0=tuple(float(x) for x in d["y0"]),
@@ -103,21 +101,21 @@ class RunConfig:
         }
 
 
+def _reject_unknown(d: dict, known: set) -> None:
+    unknown = sorted(set(d) - known)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+
+
 def _gn_from_dict(d: dict) -> GnConfig:
-    kwargs = dict(d)
-    if "lambda" in kwargs:
-        kwargs["lam"] = kwargs.pop("lambda")
-    return GnConfig(**kwargs)
+    """A stage's config. The damping is serialized as lambda, the name of
+    the Tikhonov parameter; that is its only spelling."""
+    _reject_unknown(d, {"lambda", "max_iters"})
+    return GnConfig(lam=d["lambda"], max_iters=d["max_iters"])
 
 
 def _gn_to_dict(cfg: GnConfig) -> dict:
-    # the serialized field is named for the Tikhonov parameter itself
-    return {
-        "lambda": cfg.lam,
-        "max_iters": cfg.max_iters,
-        "rel_loss_tol": cfg.rel_loss_tol,
-        "backtrack_max_halvings": cfg.backtrack_max_halvings,
-    }
+    return {"lambda": cfg.lam, "max_iters": cfg.max_iters}
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,6 @@ class RunReport:
     stage1_residuals: StageResiduals
     stage2_residuals: StageResiduals
     metrics_trial: Metrics
-    metrics_stage1: Metrics
     metrics_stage2: Metrics
     trial: Trajectory
     reference: Trajectory
@@ -303,7 +300,6 @@ def train(cfg: RunConfig) -> Tuple[TrainedModel, RunReport]:
     with _phase("evaluate"):
         reference = reference_trajectory(system, cfg)
         metrics_trial = evaluate(kept, reference)
-        metrics_stage1 = evaluate(ybar, reference)
         metrics_stage2 = evaluate(y_final, reference)
     timings["evaluate"] = time.perf_counter() - t
     timings["total"] = time.perf_counter() - t_start
@@ -316,8 +312,7 @@ def train(cfg: RunConfig) -> Tuple[TrainedModel, RunReport]:
         stage1_initial_loss=stage1_initial_loss,
         stage2_initial_loss=stage2_initial_loss,
         stage1_residuals=sr1, stage2_residuals=sr2,
-        metrics_trial=metrics_trial, metrics_stage1=metrics_stage1,
-        metrics_stage2=metrics_stage2,
+        metrics_trial=metrics_trial, metrics_stage2=metrics_stage2,
         trial=full_trial, reference=reference, timings=timings,
         seed=cfg.reservoir.seed, prng_name=PRNG_NAME,
     )

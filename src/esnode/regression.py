@@ -2,21 +2,21 @@
 
 The readout weights solve a nonlinear least-squares problem over the stacked
 constraint residuals. Each iteration solves a damped linear least-squares
-problem for a descent step, halving it until the loss stops increasing,
-and the iteration ends when the relative loss change falls below
-tolerance. The initial guess replicates the trial increments by ridge
-regression on the activation features.
+problem for a descent step, halving it at most BACKTRACK_MAX_HALVINGS
+times until the loss stops increasing, and the iteration ends when the
+relative loss change falls below REL_LOSS_TOL. The initial guess replicates
+the trial increments by ridge regression on the activation features.
 
 Both solves go through damped_lstsq, which factors the smaller of the primal
 Gram matrix a^T a and the dual one a a^T. Tall and square problems (harmonic,
 vdp) take the primal form on the dense Jacobian, with the same
 floating-point operations as a plain normal-equation solve. Wide problems
 (lorenz) take the dual form plus one step of iterative refinement, which
-agrees with the primal answer only to roundoff. On the wide Gauss-Newton
-stages the Jacobian arrives as a constraints.StructuredJacobian: the dual
-Gram is built from the stage's cached Kronecker feature Grams and the
-products with J and J^T are contractions of the same terms, so J itself is
-never formed.
+agrees with the primal answer only to roundoff. A dense Jacobian is a
+plain array. On the wide Gauss-Newton stages it arrives instead as a
+structured operator (constraints.StructuredJacobian): the dual Gram is
+built from the stage's cached Kronecker feature Grams and the products with
+J and J^T are contractions of the same terms, so J itself is never formed.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from typing import Callable, List, Tuple
 import numpy as np
 import scipy.linalg
 
-from .constraints import ResidualJacobian
 from .errors import LengthMismatch, NonFinite, SingularSystem
 from .reservoir import HiddenSequence
 from .trial import Trajectory
@@ -38,23 +37,24 @@ Array = np.ndarray
 # caller asks for effectively zero regularization
 LAMBDA_FLOOR = 1e-12
 
+# a stage stops once an accepted step changes the loss by less than this
+# fraction of it
+REL_LOSS_TOL = 1e-5
+
+# most halvings of one step before it is rejected
+BACKTRACK_MAX_HALVINGS = 20
+
 
 @dataclass(frozen=True)
 class GnConfig:
     lam: float
     max_iters: int
-    rel_loss_tol: float = 1e-5
-    backtrack_max_halvings: int = 20
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rel_loss_tol < 0:
-            raise ValueError("rel_loss_tol must be nonnegative")
-        if self.backtrack_max_halvings < 0:
-            raise ValueError("backtrack_max_halvings must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -98,36 +98,41 @@ def damped_lstsq(a, b: Array, lam: float,
                  what: str = "normal equations are singular") -> Array:
     """x minimizing ||a x - b||^2 + lam ||x||^2, for 1-D or 2-D b.
 
-    a is an array or a Jacobian operator (constraints.ResidualJacobian or
-    StructuredJacobian); an operator takes a 1-D b. The damping is floored
-    at LAMBDA_FLOOR. A tall or square a solves the primal normal equations
-    (a^T a + lam I) x = a^T b on the dense matrix. A wide a solves the
-    smaller dual system (a a^T + lam I) y = b and returns x = a^T y, which
-    is the same x by the push-through identity; one step of iterative
-    refinement on y, reusing the Cholesky factor, removes most of the error
-    the unrefined dual solve makes when a is ill-conditioned. The dual path
-    uses only the operator's gram, matvec and rmatvec, so a structured
-    Jacobian is never formed. A failed factorization raises SingularSystem
-    with the message what; a non-finite Gram or b raises NonFinite.
+    a is an array or a Jacobian operator with shape, dense, gram, matvec
+    and rmatvec (constraints.StructuredJacobian); an operator takes a 1-D
+    b. The damping is floored at LAMBDA_FLOOR. A tall or square a solves
+    the primal normal equations (a^T a + lam I) x = a^T b on the dense
+    matrix. A wide a solves the smaller dual system (a a^T + lam I) y = b
+    and returns x = a^T y, which is the same x by the push-through
+    identity; one step of iterative refinement on y, reusing the Cholesky
+    factor, removes most of the error the unrefined dual solve makes when a
+    is ill-conditioned. On an operator the dual path uses only gram, matvec
+    and rmatvec, so a structured Jacobian is never formed; on an array it
+    takes a a^T, a (a^T y) and a^T y. A failed factorization raises
+    SingularSystem with the message what; a non-finite Gram or b raises
+    NonFinite.
     """
     if not np.isfinite(b).all():
         raise NonFinite("least-squares right-hand side is not finite")
     lam = max(lam, LAMBDA_FLOOR)
-    if isinstance(a, np.ndarray):
-        a = ResidualJacobian(a)
+    dense = isinstance(a, np.ndarray)
     if a.shape[0] >= a.shape[1]:
-        j = a.dense()
+        j = a if dense else a.dense()
         gram = j.T @ j
         gram[np.diag_indices_from(gram)] += lam
         return scipy.linalg.cho_solve(_cholesky(gram, what), j.T @ b,
                                       check_finite=False)
-    gram = a.gram()
+    if dense:
+        gram = a @ a.T
+        matvec, rmatvec = (lambda x: a @ x), (lambda y: a.T @ y)
+    else:
+        gram, matvec, rmatvec = a.gram(), a.matvec, a.rmatvec
     gram[np.diag_indices_from(gram)] += lam
     factor = _cholesky(gram, what)
     y = scipy.linalg.cho_solve(factor, b, check_finite=False)
-    y -= scipy.linalg.cho_solve(factor, a.matvec(a.rmatvec(y)) + lam * y - b,
+    y -= scipy.linalg.cho_solve(factor, matvec(rmatvec(y)) + lam * y - b,
                                 check_finite=False)
-    return a.rmatvec(y)
+    return rmatvec(y)
 
 
 def _family_losses(e: Array) -> tuple:
@@ -168,10 +173,12 @@ def solve_stage(residual_fn: Callable[[Array], Array],
     """Iterate damped Gauss-Newton from w0 and return the best weights seen.
 
     residual_fn maps weights to the stacked residual vector (three equal
-    family blocks); jacobian_fn returns the matching Jacobian. A step is
-    halved, at most cfg.backtrack_max_halvings times, until the loss stops
-    increasing; if no halving helps the step is rejected, which reads as
-    converged.
+    family blocks); jacobian_fn returns the matching Jacobian, as an array
+    or an operator (see damped_lstsq). A step is halved, at most
+    BACKTRACK_MAX_HALVINGS times, until the loss stops increasing; if no
+    halving helps the step is rejected, which reads as converged. The stage
+    also ends after cfg.max_iters iterations, or once an accepted step
+    changes the loss by less than REL_LOSS_TOL of it.
     """
     w = w0.copy()
     e = residual_fn(w)
@@ -188,7 +195,7 @@ def solve_stage(residual_fn: Callable[[Array], Array],
         e_new = residual_fn(w_new)
         loss_new = float(e_new @ e_new)
         while (not np.isfinite(loss_new) or loss_new > loss) \
-                and halvings < cfg.backtrack_max_halvings:
+                and halvings < BACKTRACK_MAX_HALVINGS:
             alpha *= 0.5
             halvings += 1
             w_new = w + alpha * delta
@@ -211,7 +218,7 @@ def solve_stage(residual_fn: Callable[[Array], Array],
             iter=it, loss=loss, loss_by_family=_family_losses(e),
             rel_step=rel_step, rel_loss_change=float(rel_change),
             halvings=halvings))
-        if rel_change < cfg.rel_loss_tol:
+        if rel_change < REL_LOSS_TOL:
             break
     return best_w, history
 

@@ -166,10 +166,10 @@ def test_criterion_5_jacobian_oracle(announce):
         def res2(w_):
             return stage2_residuals(system, w_, hs2, ybar, tau).stacked()
 
-        j1 = stage1_jacobian(system, w, hs, anchor, tau).j
-        f1 = fd_jacobian(res1, w).j
-        j2 = stage2_jacobian(system, w, hs2, ybar, tau).j
-        f2 = fd_jacobian(res2, w).j
+        j1 = stage1_jacobian(system, w, hs, anchor, tau)
+        f1 = fd_jacobian(res1, w)
+        j2 = stage2_jacobian(system, w, hs2, ybar, tau)
+        f2 = fd_jacobian(res2, w)
         worst = max(worst,
                     float(np.abs(j1 - f1).max() / np.abs(f1).max()),
                     float(np.abs(j2 - f2).max() / np.abs(f2).max()))
@@ -229,7 +229,7 @@ def test_criterion_7_linear_problem_exactness(announce):
 
     w, history = solve_stage(res_fn, jac_fn, np.zeros((2, 8)),
                              GnConfig(lam=1e-12, max_iters=10))
-    grad_inf = float(np.abs(jac_fn(w).j.T @ res_fn(w)).max())
+    grad_inf = float(np.abs(jac_fn(w).T @ res_fn(w)).max())
     ok = (len(history) == 2 and history[0].halvings == 0
           and history[1].rel_step < 1e-8)
     announce(f"[criterion 7] affine instance: stopped after "

@@ -118,7 +118,9 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("spec", ["e3_substitution=false",
                                       "stage1.backtracking=true",
-                                      "n_point=5"])
+                                      "n_point=5", "stage1.lam=5",
+                                      "stage1.rel_loss_tol=1e-6",
+                                      "stage2.backtrack_max_halvings=5"])
     def test_unknown_config_key(self, config_path, tmp_path, capsys, spec):
         out = tmp_path / "out"
         code = cli.main(["run", "--config", config_path, "--out", str(out),
