@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check the
+config dataclasses share."""
+
+import numbers
 
 
 class EsnodeError(Exception):
@@ -27,3 +30,12 @@ class SingularSystem(EsnodeError):
 
 class TrialDiverged(EsnodeError):
     """The trial integration blew up before training could start."""
+
+
+def require_int(name: str, value) -> None:
+    """Raise ValueError naming the field unless value is an integer.
+
+    bool is an int subclass but never a count or a seed, so it is refused.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")

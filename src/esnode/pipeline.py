@@ -10,6 +10,10 @@ metrics resolve (see reference_trajectory). The reference never enters the
 fit, so its step moves only reference.csv and the metrics. All artifacts a
 run produces are written atomically so a crash never leaves a half-written
 file.
+
+The trained model keeps the hidden state the stage-2 drive reached at the
+end of the washout, the state its readout was fitted from. Free runs
+(`generate`) start from it and never drive the reservoir again.
 """
 from __future__ import annotations
 
@@ -120,12 +124,19 @@ def _gn_to_dict(cfg: GnConfig) -> dict:
 
 @dataclass(frozen=True)
 class TrainedModel:
+    """The fitted readouts with their reservoir.
+
+    h_washout is the hidden state after the washout inputs, row 0 of the
+    stage-2 drive: the state the stage-2 readout was fitted from and the
+    one `generate` starts from.
+    """
+
     reservoir: Reservoir
     w_stage1: Array
     w_stage2: Array
     ybar: Trajectory
     y_final: Trajectory
-    washout_inputs: Trajectory
+    h_washout: Array
 
 
 @dataclass(frozen=True)
@@ -294,6 +305,8 @@ def train(cfg: RunConfig) -> Tuple[TrainedModel, RunReport]:
             w1, cfg.stage2)
         y_final = constraints.stage2_readout(w2, hs2, ybar, cfg.tau)
         sr2 = constraints.stage2_residuals(system, w2, hs2, ybar, cfg.tau)
+        # a copy, so the model does not keep the stage-2 sequence alive
+        h_washout = hs2.h[0].copy()
     timings["stage2"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -305,7 +318,7 @@ def train(cfg: RunConfig) -> Tuple[TrainedModel, RunReport]:
     timings["total"] = time.perf_counter() - t_start
 
     model = TrainedModel(reservoir=res, w_stage1=w1, w_stage2=w2, ybar=ybar,
-                         y_final=y_final, washout_inputs=washout)
+                         y_final=y_final, h_washout=h_washout)
     report = RunReport(
         config=cfg,
         stage1_history=tuple(hist1), stage2_history=tuple(hist2),
@@ -322,23 +335,32 @@ def train(cfg: RunConfig) -> Tuple[TrainedModel, RunReport]:
 def generate(model: TrainedModel, y_start, n_steps: int) -> Trajectory:
     """Closed-loop generation: each output feeds back as the next input.
 
-    The hidden state is conditioned by re-driving the stored washout inputs
-    before the loop starts, so the first step matches the trained regime.
+    The loop starts from model.h_washout, the post-washout state the
+    stage-2 readout was trained on, so the first step matches the trained
+    regime. Each step is z = (tau*b + c + omega.h) + v.y, h = tanh(z),
+    y_next = y + tau*(w.h), written into preallocated buffers. Steps are not
+    checked one by one: the rows are checked once after the loop, and the
+    first non-finite row names the step that diverged.
     """
     res = model.reservoir
     tau = model.y_final.tau
-    h = drive(res, model.washout_inputs).h[-1]
-    w = model.w_stage2
+    omega, v, w = res.omega, res.v, model.w_stage2
     y = np.asarray(y_start, dtype=float)
     states = np.empty((n_steps + 1, y.shape[0]))
     states[0] = y
     base = tau * res.b + res.c
-    for n in range(n_steps):
-        h = np.tanh(base + res.omega @ h + res.v @ y)
-        y = y + tau * (w @ h)
-        if not np.isfinite(y).all():
-            raise NonFinite(f"closed-loop generation diverged at step {n + 1}")
-        states[n + 1] = y
+    h = model.h_washout.copy()
+    z = np.empty_like(h)
+    with np.errstate(all="ignore"):
+        for n in range(n_steps):
+            np.add(base, omega @ h, out=z)
+            z += v @ states[n]
+            np.tanh(z, out=h)
+            np.add(states[n], tau * (w @ h), out=states[n + 1])
+    finite = np.isfinite(states[1:]).all(axis=1)
+    if not finite.all():
+        raise NonFinite("closed-loop generation diverged at step "
+                        f"{int(np.argmin(finite)) + 1}")
     return Trajectory(t0=model.ybar.t0, tau=tau, states=states)
 
 

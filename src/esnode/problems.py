@@ -1,13 +1,15 @@
 """Benchmark ODE systems: right-hand sides, analytic Jacobians, reference solutions.
 
-Each system is autonomous, dy/dt = f(y). The right-hand side indexes its
-argument component by component and returns a tuple of the d components of
-f(y), so one definition runs both on a list of Python floats, inside the
-plain-float integrators of `trial`, and on a numpy row, inside `rhs_many`.
-Both give the same bits, because each component is the same sequence of
-IEEE double operations. vdp squares with `y[0] ** 2`, which rounds through
-`pow`, not `y[0] * y[0]`: the two differ in the last bit for a small share
-of arguments, and vdp's chaotic fit would amplify the difference.
+Each system is autonomous, dy/dt = f(y). The right-hand side returns a tuple
+of the d components of f(y). It and the Jacobian index their argument
+component by component, so one definition runs
+on a list of Python floats and on a numpy row. The plain-float integrators of
+`trial` and the row loops of `rhs_many`/`jac_many` pass Python floats. Both
+give the same bits, because each component is the same sequence of IEEE
+double operations. vdp squares with `y[0] ** 2`, which rounds through `pow`
+for a Python float and for a numpy scalar alike, not `y[0] * y[0]`: the two
+differ in the last bit for a small share of arguments, and vdp's chaotic fit
+would amplify the difference.
 
 The Jacobian is the d x d matrix df/dy used by the residual linearization;
 it must match finite differences of the right-hand side.
@@ -33,16 +35,16 @@ class OdeSystem:
     name: str
     dim: int
     rhs: Callable[[Sequence[float]], tuple]
-    jac: Callable[[Array], Array]
+    jac: Callable[[Sequence[float]], Array]
     reference: Optional[Callable[[object, Array], Array]] = None
 
     def rhs_many(self, states: Array) -> Array:
         """Evaluate f at each row of a (k, d) state block."""
-        return np.stack([self.rhs(y) for y in states])
+        return np.array([self.rhs(y) for y in states.tolist()])
 
     def jac_many(self, states: Array) -> Array:
         """Evaluate df/dy at each row of a (k, d) state block."""
-        return np.stack([self.jac(y) for y in states])
+        return np.array([self.jac(y) for y in states.tolist()])
 
 
 def _harmonic_rhs(y) -> tuple:
@@ -76,7 +78,7 @@ def _vdp_rhs(y) -> tuple:
     return (y[1], y[1] - y[0] - y[0] ** 2 * y[1])
 
 
-def _vdp_jac(y: Array) -> Array:
+def _vdp_jac(y) -> Array:
     return np.array([
         [0.0, 1.0],
         [-1.0 - 2.0 * y[0] * y[1], 1.0 - y[0] ** 2],
@@ -101,7 +103,7 @@ def _lorenz_rhs(y) -> tuple:
     )
 
 
-def _lorenz_jac(y: Array) -> Array:
+def _lorenz_jac(y) -> Array:
     return np.array([
         [-_LORENZ_SIGMA, _LORENZ_SIGMA, 0.0],
         [_LORENZ_RHO - y[2], -1.0, -y[0]],

@@ -27,7 +27,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 import scipy.linalg
 
-from .errors import LengthMismatch, NonFinite, SingularSystem
+from .errors import LengthMismatch, NonFinite, SingularSystem, require_int
 from .reservoir import HiddenSequence
 from .trial import Trajectory
 
@@ -53,6 +53,7 @@ class GnConfig:
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("lam must be positive")
+        require_int("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

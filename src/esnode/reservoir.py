@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .errors import DegenerateMatrix, DimensionMismatch
+from .errors import DegenerateMatrix, DimensionMismatch, require_int
 from .trial import Trajectory
 
 Array = np.ndarray
@@ -31,6 +31,8 @@ class ReservoirParams:
     seed: int = 0
 
     def __post_init__(self):
+        require_int("n_neurons", self.n_neurons)
+        require_int("seed", self.seed)
         if self.n_neurons < 1:
             raise ValueError("n_neurons must be >= 1")
         if not 0.0 < self.connectivity <= 1.0:
@@ -190,8 +192,8 @@ def drive(res: Reservoir, inputs: Trajectory, h0: Array = None) -> HiddenSequenc
     aff = inputs.states @ res.v.T + (res.b * tau + res.c)
     omega = res.omega
     for k in range(n_steps):
-        z[k] = aff[k] + omega @ h[k]
-        h[k + 1] = np.tanh(z[k])
+        np.add(aff[k], omega @ h[k], out=z[k])
+        np.tanh(z[k], out=h[k + 1])
     z0 = z - res.b * tau
     sig = h[1:]
     sig_dot = 1.0 - sig * sig

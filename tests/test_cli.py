@@ -120,7 +120,10 @@ class TestErrorHandling:
                                       "stage1.backtracking=true",
                                       "n_point=5", "stage1.lam=5",
                                       "stage1.rel_loss_tol=1e-6",
-                                      "stage2.backtrack_max_halvings=5"])
+                                      "stage2.backtrack_max_halvings=5",
+                                      # a known key with a non-integer value
+                                      "stage1.max_iters=1.5",
+                                      "reservoir.n_neurons=20.5"])
     def test_unknown_config_key(self, config_path, tmp_path, capsys, spec):
         out = tmp_path / "out"
         code = cli.main(["run", "--config", config_path, "--out", str(out),

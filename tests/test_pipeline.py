@@ -186,7 +186,7 @@ class TestTrain:
         assert model.ybar.n_points == cfg.n_points + 1
         assert model.y_final.n_points == cfg.n_points + 1
         assert model.ybar.t0 == pytest.approx(cfg.n_washout * cfg.tau)
-        assert model.washout_inputs.n_points == cfg.n_washout
+        assert model.h_washout.shape == (30,)
         # the stored trial covers the whole integration, washout included
         assert report.trial.n_points == cfg.n_washout + cfg.n_points + 1
         assert report.trial.t0 == 0.0
@@ -230,12 +230,24 @@ class TestTrain:
 
     def test_washout_inputs_are_trial_prefix(self, smoke_run):
         cfg, model, report = smoke_run
-        assert model.washout_inputs.t0 == 0.0
-        np.testing.assert_array_equal(model.washout_inputs.states,
+        _, _, washout, _ = pipeline.integrate_trial(cfg)
+        assert washout.t0 == 0.0
+        np.testing.assert_array_equal(washout.states,
                                       report.trial.states[:cfg.n_washout])
         # the anchored readout resumes exactly where the washout ends
-        assert model.ybar.t0 == pytest.approx(
-            model.washout_inputs.n_points * cfg.tau)
+        assert model.ybar.t0 == pytest.approx(washout.n_points * cfg.tau)
+
+    def test_h_washout_is_the_post_washout_state(self, smoke_run):
+        cfg, model, _ = smoke_run
+        system, _, washout, _ = pipeline.integrate_trial(cfg)
+        res = pipeline.build(cfg.reservoir, system.dim)
+        hs2 = pipeline.drive_past_washout(res, washout, model.ybar)
+        assert model.h_washout.tobytes() == hs2.h[0].tobytes()
+        # driving the washout alone batches its input products differently,
+        # which moves the state only at roundoff level
+        np.testing.assert_allclose(model.h_washout,
+                                   pipeline.drive(res, washout).h[-1],
+                                   rtol=0, atol=1e-14)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_trial_raises(self):
@@ -249,6 +261,38 @@ class TestTrain:
                            n_points=40, n_washout=10, refine_factor=1)
         with pytest.raises(TrialDiverged, match="step 9"):
             train(cfg)
+
+
+def loop_oracle(model, y_start, n_steps):
+    """The closed loop written step by step with fresh temporaries and a
+    finiteness check after every step; generate must match it bit for bit."""
+    res = model.reservoir
+    tau = model.y_final.tau
+    h = model.h_washout
+    w = model.w_stage2
+    y = np.asarray(y_start, dtype=float)
+    states = np.empty((n_steps + 1, y.shape[0]))
+    states[0] = y
+    base = tau * res.b + res.c
+    for n in range(n_steps):
+        h = np.tanh(base + res.omega @ h + res.v @ y)
+        y = y + tau * (w @ h)
+        if not np.isfinite(y).all():
+            raise NonFinite(f"closed-loop generation diverged at step {n + 1}")
+        states[n + 1] = y
+    return Trajectory(t0=model.ybar.t0, tau=tau, states=states)
+
+
+def diverging_model():
+    # one neuron pinned at h = 0.5 and a near-overflow weight: the output
+    # grows by 5e306 per step and exceeds the float range
+    from test_constraints import single_neuron_reservoir
+    from esnode.pipeline import TrainedModel
+    res = single_neuron_reservoir(c=np.arctanh(0.5))
+    flat = Trajectory(t0=0.0, tau=0.1, states=np.zeros((2, 1)))
+    w = np.array([[1e308]])
+    return TrainedModel(reservoir=res, w_stage1=w, w_stage2=w, ybar=flat,
+                        y_final=flat, h_washout=np.tanh(res.c))
 
 
 class TestGenerate:
@@ -272,19 +316,29 @@ class TestGenerate:
         assert np.isfinite(out.states).all()
         assert out.n_points == 101
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("overrides", [
+        {}, {"problem": "vdp", "y0": (2.0, 0.0), "tau": 0.1}],
+        ids=["harmonic", "vdp"])
+    def test_matches_loop_oracle_bitwise(self, overrides):
+        model, _ = train(smoke_config(**overrides))
+        h_before = model.h_washout.copy()
+        out = generate(model, model.ybar.states[0], 200)
+        expect = loop_oracle(model, model.ybar.states[0], 200)
+        assert out.t0 == expect.t0
+        assert out.states.tobytes() == expect.states.tobytes()
+        # the stored start state is read, never stepped in place
+        assert model.h_washout.tobytes() == h_before.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises(self):
-        # one neuron pinned at h = 0.5 and a near-overflow weight: the
-        # output grows by 5e306 per step and exceeds the float range
-        from test_constraints import single_neuron_reservoir
-        from esnode.pipeline import TrainedModel
-        res = single_neuron_reservoir(c=np.arctanh(0.5))
-        flat = Trajectory(t0=0.0, tau=0.1, states=np.zeros((2, 1)))
-        w = np.array([[1e308]])
-        model = TrainedModel(reservoir=res, w_stage1=w, w_stage2=w,
-                             ybar=flat, y_final=flat, washout_inputs=flat)
-        with pytest.raises(NonFinite, match="step"):
+        # the overflow raises no warning and names the oracle's step
+        model = diverging_model()
+        with np.errstate(all="ignore"), pytest.raises(NonFinite) as oracle:
+            loop_oracle(model, np.array([0.0]), 50)
+        with pytest.raises(NonFinite) as got:
             generate(model, np.array([0.0]), 50)
+        assert str(got.value) == str(oracle.value)
+        assert str(got.value).endswith("step 36")
 
 
 class TestReportAndArtifacts:

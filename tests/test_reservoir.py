@@ -55,6 +55,7 @@ class TestParams:
     @pytest.mark.parametrize("field,value", [
         ("n_neurons", 0), ("connectivity", 0.0), ("connectivity", 1.5),
         ("spectral_norm", 0.0), ("spectral_norm", -1.0),
+        ("seed", 1.5), ("seed", True),
     ])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
